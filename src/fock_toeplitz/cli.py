@@ -14,14 +14,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import calculus, composition, fock, quadrature, symbols
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, NonFiniteResultError
 
 __all__ = ["main", "RunConfig", "parse_complex", "render_json"]
 
@@ -56,7 +58,11 @@ class RunConfig:
 
 
 def _fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    value = float(x)
+    if not math.isfinite(value):
+        # inf/nan tokens are not JSON; refuse rather than print them
+        raise NonFiniteResultError(f"result contains a non-finite value ({value})")
+    return f"{value:.17g}"
 
 
 def render_json(obj) -> str:
@@ -323,6 +329,25 @@ def _require_json(cfg: RunConfig, command: str) -> None:
 # argument parsing and entry point
 
 
+_SIGNED_NUMBER = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--theta -0.68+0.50i`` as ``--theta=-0.68+0.50i``.
+
+    argparse reads a token that starts with ``-`` as an option unless it is a
+    plain negative number, so a negative complex value after a space would be
+    a usage error.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--theta" and _SIGNED_NUMBER.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-N", "--truncation", type=int, default=None, help="truncation dimension")
@@ -391,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
         text = args.run(args, cfg)

@@ -22,15 +22,15 @@ requested tolerance or at the computable rounding floor
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.special import gammaln, poch
 
-from .errors import DivergenceError, DomainError, RuleConstructionError
+from .errors import DivergenceError, DomainError, NonFiniteResultError, RuleConstructionError
 from .symbols import (
     Symbol,
     SymbolClass,
@@ -58,6 +58,9 @@ _EPS_LD = float(np.finfo(_LD).eps)
 DEFAULT_TOL = 1e-12
 MAX_ORDER = 512
 _FLOOR_FACTOR = 32.0  # multiples of eps·Σw|f| treated as unreachable
+# Rules kept per process: full ladders (orders 8..512) for ~146 weight
+# exponents, about 80 bytes per node, so ~12 MB when every ladder is full.
+_RULE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,13 +71,21 @@ class QuadratureRule:
     (they sum to 1); ``weights`` carries the raw normalization summing to
     ``Γ(α+1)``.  Both are stored in ``np.longdouble`` together with the
     nodes.  At high order the most extreme unit weights can underflow to
-    exact zero; consumers mask those nodes before evaluating integrands.
+    exact zero; those nodes are masked once, at construction, and never
+    reach an integrand.
     """
 
     order: int
     alpha: float
     nodes: np.ndarray
     unit_weights: np.ndarray
+    _live_nodes: np.ndarray = field(init=False, repr=False)
+    _live_weights: np.ndarray = field(init=False, repr=False)  # np.clongdouble
+
+    def __post_init__(self) -> None:
+        mask = self.unit_weights > 0
+        object.__setattr__(self, "_live_nodes", self.nodes[mask])
+        object.__setattr__(self, "_live_weights", self.unit_weights[mask].astype(_CLD))
 
     @property
     def weights(self) -> np.ndarray:
@@ -86,37 +97,52 @@ class QuadratureRule:
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Unit-normalized integral ``∫ f(u) u^α e^{−u} du / Γ(α+1)``."""
-        mask = self.unit_weights > 0
-        fx = np.asarray(f(self.nodes[mask]))
-        return complex(np.sum(self.unit_weights[mask].astype(_CLD) * fx))
+        return self.integrate_with_gauge(f)[0]
 
-    def abs_sum(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """``Σ w |f|`` against the unit weights — the cancellation gauge."""
-        mask = self.unit_weights > 0
-        fx = np.asarray(f(self.nodes[mask]))
-        return float(np.sum(self.unit_weights[mask] * np.abs(fx)).real)
+    def integrate_with_gauge(
+        self, f: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[complex, float]:
+        """:meth:`integrate` and ``Σ w |f|`` against the unit weights — the
+        cancellation gauge — from one evaluation of ``f``."""
+        fx = np.asarray(f(self._live_nodes))
+        value = complex(np.sum(self._live_weights * fx))
+        gauge = float(np.sum(self._live_weights.real * np.abs(fx)).real)
+        return value, gauge
 
 
 def build_rule(order: int, alpha: float) -> QuadratureRule:
-    """Construct the rule by the Golub–Welsch scheme, refined in longdouble.
+    """The rule of ``order`` nodes for the weight ``u^α e^{−u}``.
 
-    The double-precision eigenvalues of the Jacobi matrix (recurrence
+    Rules are built by the Golub–Welsch scheme, refined in longdouble: the
+    double-precision eigenvalues of the Jacobi matrix (recurrence
     ``a_k = 2k+α+1``, ``b_k = √(k(k+α))``) seed two Newton iterations on the
     orthonormal-polynomial recurrence carried in ``np.longdouble``; weights
     are the Christoffel numbers ``1 / Σ_k p_k(x_i)²``.
+
+    Each rule is built once per process and kept in a bounded LRU cache keyed
+    on ``(order, float(alpha))``, so every caller asking for the same rule
+    gets the same object.  Its ``nodes`` and ``unit_weights`` are therefore
+    read-only; copy them before writing.  Invalid arguments raise
+    :class:`DomainError` before the cache is consulted.
+    ``build_rule.cache_clear()`` empties the cache and
+    ``build_rule.cache_info()`` reports its hits, misses and size.
     """
     if order < 1:
         raise DomainError(f"rule order must be >= 1, got {order}")
     if alpha < 0:
         raise DomainError(f"weight exponent alpha must be >= 0, got {alpha}")
+    return _cached_rule(order, float(alpha))
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _cached_rule(order: int, alpha: float) -> QuadratureRule:
     if order == 1:
         # single node at the first moment of the normalized weight
-        return QuadratureRule(
-            order=1,
-            alpha=float(alpha),
-            nodes=np.array([alpha + 1.0], dtype=_LD),
-            unit_weights=np.array([1.0], dtype=_LD),
-        )
+        nodes = np.array([alpha + 1.0], dtype=_LD)
+        return _frozen_rule(1, alpha, nodes, np.array([1.0], dtype=_LD))
+
+    # imported here so that callers who never build a rule skip scipy.linalg
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     k = np.arange(order, dtype=float)
     diag = 2.0 * k + alpha + 1.0
@@ -170,7 +196,19 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
         raise RuleConstructionError(
             f"node refinement failed for order={order}, alpha={alpha}"
         )
-    return QuadratureRule(order=order, alpha=float(alpha), nodes=x, unit_weights=unit_weights)
+    return _frozen_rule(order, alpha, x, unit_weights)
+
+
+def _frozen_rule(
+    order: int, alpha: float, nodes: np.ndarray, unit_weights: np.ndarray
+) -> QuadratureRule:
+    nodes.flags.writeable = False
+    unit_weights.flags.writeable = False
+    return QuadratureRule(order=order, alpha=alpha, nodes=nodes, unit_weights=unit_weights)
+
+
+build_rule.cache_clear = _cached_rule.cache_clear
+build_rule.cache_info = _cached_rule.cache_info
 
 
 def _adaptive_unit(
@@ -190,9 +228,8 @@ def _adaptive_unit(
     prev: complex | None = None
     best: tuple[complex, float] | None = None
     while order <= max_order:
-        rule = build_rule(order, alpha)
-        value = rule.integrate(f)
-        floor = _FLOOR_FACTOR * _EPS_LD * rule.abs_sum(f)
+        value, gauge = build_rule(order, alpha).integrate_with_gauge(f)
+        floor = _FLOOR_FACTOR * _EPS_LD * gauge
         if prev is not None:
             est = abs(value - prev)
             if best is None or est < best[1]:
@@ -278,18 +315,25 @@ def _gamma_closed(terms, n_entries: int) -> np.ndarray:
 
     Each term contributes ``c · Γ(n+m+1)/n! · (1−λ)^{−(n+m+1)}``; the ``λ=0``
     case reduces to the rising factorial ``(n+1)_m`` and is computed exactly.
+    Raises :class:`NonFiniteResultError` when an entry overflows float64.
     """
     n = np.arange(n_entries, dtype=float)
     out = np.zeros(n_entries, dtype=complex)
-    for c, m, lam in terms:
-        if lam == 0:
-            out += c * poch(n + 1.0, m)
-        else:
-            power = n + m + 1.0
-            log_term = gammaln(n + m + 1.0) - gammaln(n + 1.0) - power * np.log(
-                complex(1.0 - lam)
-            )
-            out += c * np.exp(log_term)
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        for c, m, lam in terms:
+            if lam == 0:
+                out += c * poch(n + 1.0, m)
+            else:
+                power = n + m + 1.0
+                log_term = gammaln(n + m + 1.0) - gammaln(n + 1.0) - power * np.log(
+                    complex(1.0 - lam)
+                )
+                out += c * np.exp(log_term)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        first = int(bad[0])
+        hint = f"; request at most {first} entries" if first else ""
+        raise NonFiniteResultError(f"closed-form gamma overflows float64 at n = {first}{hint}")
     return out
 
 
@@ -304,9 +348,12 @@ def gamma_sequence(
 
     ``method`` selects the computation path: ``"closed"`` uses the
     term-by-term closed forms, ``"quadrature"`` forces generalized
-    Gauss–Laguerre with a fresh rule per ``n`` (weight exponent ``α = n``),
-    and ``"auto"`` prefers the closed forms, which exist for the whole
-    representable family.
+    Gauss–Laguerre with weight exponent ``α = n`` for each ``n``, and
+    ``"auto"`` prefers the closed forms, which exist for the whole
+    representable family.  The quadrature rules come from the per-process
+    cache of :func:`build_rule`, so a later sequence over the same ``n``
+    builds no rule again; each rung of the order ladder evaluates the
+    profile once.
     """
     if n_entries < 1:
         raise DomainError("need at least one gamma entry")

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from fock_toeplitz import NonFiniteResultError
 from fock_toeplitz.cli import ENV_TOL, main, parse_complex, render_json
 
 CONST = '{"kind": "radial_monomial", "m": 0}'
@@ -120,6 +121,16 @@ class TestClassifyCommand:
         assert json.loads(out)["case"] == "Case2"
         _, out, _ = run_cli(capsys, "classify", "--theta", theta, "--tol", "0.1")
         assert json.loads(out)["case"] == "Case1"
+
+    @pytest.mark.parametrize(
+        "argv", [["--theta", "-0.68+0.50i"], ["--theta=-0.68+0.50i"]]
+    )
+    def test_negative_theta_in_both_spellings(self, capsys, argv):
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["theta"] == {"re": -0.68, "im": 0.5}
+        assert payload["case"] == "Case2"
 
     def test_env_tol_applies_when_no_flag(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_TOL, "0.1")
@@ -269,6 +280,30 @@ class TestExitCodes:
         )
         assert code == 3
         assert "accuracy error" in err
+
+    @pytest.mark.parametrize(
+        "symbol,n",
+        [
+            ('{"kind": "radial_monomial", "m": 200}', "64"),
+            ('{"kind": "radial_exponential", "lambda": {"re": 0.999, "im": 0.0}}', "200000"),
+        ],
+    )
+    def test_closed_form_overflow_is_accuracy_error(self, symbol, n):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fock_toeplitz.cli", "gamma", "--symbol", symbol, "-N", n],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "accuracy error" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_non_finite_value_is_never_rendered(self):
+        with pytest.raises(NonFiniteResultError):
+            render_json({"x": float("inf")})
+        with pytest.raises(NonFiniteResultError):
+            render_json([float("nan")])
 
     def test_bad_env_tol_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_TOL, "not-a-number")

@@ -6,6 +6,8 @@ integration of (1/n!) ∫ a(√u) uⁿ e^{−u} du.
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fock_toeplitz import (
     BivariatePolynomial,
     DivergenceError,
     DomainError,
+    QuadratureRule,
     RadialExponential,
     RadialMonomial,
     build_rule,
@@ -89,10 +92,76 @@ class TestBuildRule:
         np.testing.assert_allclose(float(np.sum(rule.unit_weights)), 1.0, rtol=1e-15)
 
     def test_construction_is_deterministic(self):
-        a = build_rule(32, 7.0)
-        b = build_rule(32, 7.0)
-        assert np.array_equal(a.nodes, b.nodes)
-        assert np.array_equal(a.unit_weights, b.unit_weights)
+        cached = build_rule(32, 7.0)
+        build_rule.cache_clear()
+        fresh = build_rule(32, 7.0)
+        assert fresh is not cached
+        assert np.array_equal(cached.nodes, fresh.nodes)
+        assert np.array_equal(cached.unit_weights, fresh.unit_weights)
+
+
+class TestRuleCache:
+    def test_integer_and_float_alpha_share_one_rule(self):
+        assert build_rule(32, 7) is build_rule(32, 7.0)
+        assert build_rule(32, 7).alpha == 7.0
+
+    def test_cached_arrays_are_read_only(self):
+        rule = build_rule(16, 3.0)
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.unit_weights[0] = 0.0
+        assert build_rule(16, 3.0).nodes[0] > 0.0
+
+    def test_invalid_arguments_are_not_cached(self):
+        build_rule.cache_clear()
+        with pytest.raises(DomainError):
+            build_rule(8, -1.0)
+        with pytest.raises(DomainError):
+            build_rule(0, 1.0)
+        assert build_rule.cache_info().currsize == 0
+
+    def test_one_evaluation_gives_the_plain_sums(self):
+        rule = build_rule(64, 5.0)
+        calls = []
+
+        def f(u):
+            calls.append(u.size)
+            return np.exp(LAM_EXAMPLE * u.astype(np.clongdouble))
+
+        value, gauge = rule.integrate_with_gauge(f)
+        assert calls == [64]
+        fx = f(rule.nodes)
+        w = rule.unit_weights
+        assert value == complex(np.sum(w.astype(np.clongdouble) * fx))
+        assert gauge == float(np.sum(w * np.abs(fx)).real)
+
+    def test_zero_weight_nodes_never_reach_the_integrand(self):
+        ld = np.longdouble
+        rule = QuadratureRule(
+            order=2,
+            alpha=0.0,
+            nodes=np.array([1.0, 2.0], dtype=ld),
+            unit_weights=np.array([1.0, 0.0], dtype=ld),
+        )
+        assert rule.integrate_with_gauge(lambda u: 1.0 / (u - 2.0)) == (-1.0 + 0.0j, 1.0)
+
+    def test_worked_example_is_bit_identical_cold_and_warm(self):
+        symbol = RadialExponential(LAM_EXAMPLE)
+        build_rule.cache_clear()
+        cold = gamma_sequence(symbol, 41, method="quadrature")
+        built = build_rule.cache_info().misses
+        warm = gamma_sequence(symbol, 41, method="quadrature")
+        assert build_rule.cache_info().misses == built > 0
+        assert np.array_equal(cold.values, warm.values)
+        assert np.array_equal(cold.abs_err, warm.abs_err)
+
+    def test_cli_import_skips_scipy_linalg(self):
+        code = "import sys, fock_toeplitz.cli; print('scipy.linalg' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestIntegrateWeighted:
