@@ -29,6 +29,12 @@ __all__ = ["main", "RunConfig", "parse_complex", "render_json"]
 
 ENV_TOL = "FOCK_TOEPLITZ_TOL"
 
+# Size limits, checked before anything is allocated (exit 2 above them).
+# ``matrix`` builds a dense N x N complex matrix: 16 MB at N = 1024, and its
+# JSON takes about 50 MB.  Every ``wick`` point sums a series of N terms.
+MAX_DENSE_TRUNCATION = 1024
+MAX_WICK_POINTS = 10_000
+
 
 class UsageError(Exception):
     """Malformed invocation: bad symbol JSON, bad scalar, bad config."""
@@ -221,6 +227,11 @@ def _cmd_gamma(args, cfg: RunConfig) -> str:
 
 
 def _cmd_matrix(args, cfg: RunConfig) -> str:
+    if cfg.truncation > MAX_DENSE_TRUNCATION:
+        raise UsageError(
+            f"matrix truncation {cfg.truncation} exceeds the dense-matrix limit "
+            f"MAX_DENSE_TRUNCATION = {MAX_DENSE_TRUNCATION}"
+        )
     symbol = _load_symbol(args.symbol)
     op = fock.toeplitz_matrix(symbol, cfg.truncation, tol=cfg.tol)
     if cfg.fmt == "csv":
@@ -261,6 +272,11 @@ def _cmd_diamond(args, cfg: RunConfig) -> str:
 
 
 def _cmd_wick(args, cfg: RunConfig) -> str:
+    if not 0 <= args.points <= MAX_WICK_POINTS:
+        raise UsageError(
+            f"--points must be between 0 and MAX_WICK_POINTS = {MAX_WICK_POINTS}, "
+            f"got {args.points}"
+        )
     symbol = _load_symbol(args.symbol)
     seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
     radii = np.linspace(0.0, args.r_max, args.points)

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import poch
 
+from ._special import poch
 from .calculus import GaussianWickFit, diamond, fit_gaussian_wick, safe_fit_radius
 from .errors import AccuracyError, DomainError
 from .quadrature import DEFAULT_TOL, GammaSequence, gamma_sequence
@@ -311,8 +311,10 @@ def _recognize_polynomial(
     """
     n_all = np.arange(len(values), dtype=float)
     scale = max(1.0, float(np.max(np.abs(values))))
-    for degree in range(min(max_degree, len(values) - 1) + 1):
-        basis = np.column_stack([poch(n_all + 1.0, m) for m in range(degree + 1)])
+    top = min(max_degree, len(values) - 1)
+    full_basis = np.column_stack([poch(n_all + 1.0, m) for m in range(top + 1)])
+    for degree in range(top + 1):
+        basis = full_basis[:, : degree + 1]
         head = slice(0, degree + 1)
         try:
             coeffs = np.linalg.solve(basis[head, :], values[head])

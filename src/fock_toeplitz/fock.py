@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import gammaln
 from .errors import AccuracyError, DomainError
 from .quadrature import DEFAULT_TOL, GammaSequence, gamma_sequence
 from .symbols import Symbol, is_radial, to_polynomial
@@ -108,11 +108,12 @@ def eval_fock(f: FockVector, z: complex) -> complex:
 def _monomial_entries(j: int, k: int, n_dim: int) -> np.ndarray:
     """Matrix of ``T_{z^j z̄^k}``: entry ``(n+j−k, n) = (n+j)!/√(n!(n+j−k)!)``."""
     out = np.zeros((n_dim, n_dim), dtype=complex)
-    for n in range(n_dim):
-        m = n + j - k
-        if 0 <= m < n_dim:
-            log_val = gammaln(n + j + 1.0) - 0.5 * gammaln(n + 1.0) - 0.5 * gammaln(m + 1.0)
-            out[m, n] = math.exp(log_val)
+    n = np.arange(max(0, k - j), min(n_dim, n_dim + k - j))
+    m = n + j - k
+    log_factorial = gammaln(np.arange(n_dim + j) + 1.0)  # log i! at index i
+    log_val = log_factorial[n + j] - 0.5 * log_factorial[n] - 0.5 * log_factorial[m]
+    # libm exp, not np.exp, whose vectorised form may differ in the last bit
+    out[m, n] = np.fromiter(map(math.exp, log_val.tolist()), dtype=float, count=n.size)
     return out
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, poch
 
+from ._special import gammaln, poch
 from .errors import DivergenceError, DomainError, NonFiniteResultError, RuleConstructionError
 from .symbols import (
     Symbol,
@@ -331,10 +331,13 @@ def _gamma_closed(terms, n_entries: int) -> np.ndarray:
                 out += c * np.exp(log_term)
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        first = int(bad[0])
-        hint = f"; request at most {first} entries" if first else ""
-        raise NonFiniteResultError(f"closed-form gamma overflows float64 at n = {first}{hint}")
+        raise _overflow_error("closed-form", int(bad[0]))
     return out
+
+
+def _overflow_error(path: str, first: int) -> NonFiniteResultError:
+    hint = f"; request at most {first} entries" if first else ""
+    return NonFiniteResultError(f"{path} gamma overflows float64 at n = {first}{hint}")
 
 
 def gamma_sequence(
@@ -353,7 +356,8 @@ def gamma_sequence(
     representable family.  The quadrature rules come from the per-process
     cache of :func:`build_rule`, so a later sequence over the same ``n``
     builds no rule again; each rung of the order ladder evaluates the
-    profile once.
+    profile once.  Either path raises :class:`NonFiniteResultError`, naming
+    the first ``n``, when an entry overflows float64.
     """
     if n_entries < 1:
         raise DomainError("need at least one gamma entry")
@@ -380,6 +384,8 @@ def gamma_sequence(
     for n in range(n_entries):
         # unit weights already divide by Γ(n+1): the sum is γ(n) directly
         values[n], abs_err[n] = _adaptive_unit(profile, float(n), tol, max_order)
+        if not np.isfinite(values[n]):
+            raise _overflow_error("quadrature", n)
     return GammaSequence(
         values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import gammaln
 from .errors import DivergenceError, DomainError, NonFiniteResultError
 
 __all__ = [
@@ -300,6 +300,16 @@ def membership(symbol: Symbol, space: SymbolClass) -> MembershipVerdict:
 # q-sequence and A-series
 
 
+def _half_gammas(terms, n_entries: int) -> np.ndarray:
+    """``log Γ((i+2)/2)`` for ``i < n_entries + 4·max m``, in one lookup.
+
+    The pair of terms ``(m_i, m_j)`` needs ``log Γ(m_i + m_j + (n+2)/2)``
+    for ``n < n_entries``: the slice that starts at ``2(m_i + m_j)``.
+    """
+    m_top = max((m for _, m, _ in terms), default=0)
+    return gammaln((np.arange(n_entries + 4 * m_top) + 2.0) / 2.0)
+
+
 def q_sequence(symbol: Symbol, n_entries: int) -> np.ndarray:
     """Weighted moments ``q_f(n) = ∫ |f(r)|² e^{−r²} r^{n+1} dr``, n < n_entries.
 
@@ -315,14 +325,17 @@ def q_sequence(symbol: Symbol, n_entries: int) -> np.ndarray:
         )
     terms = radial_terms(symbol)
     n = np.arange(n_entries, dtype=float)
+    half_gammas = _half_gammas(terms, n_entries)
     total = np.zeros(n_entries, dtype=complex)
-    for ci, mi, lami in terms:
-        for cj, mj, lamj in terms:
-            s = 1.0 - lami - lamj.conjugate()
-            p = mi + mj + (n + 2.0) / 2.0
-            log_mag = gammaln(p) - p * math.log(abs(s))
-            phase = -p * cmath.phase(s)
-            total += 0.5 * ci * cj.conjugate() * np.exp(log_mag) * np.exp(1j * phase)
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        for ci, mi, lami in terms:
+            for cj, mj, lamj in terms:
+                s = 1.0 - lami - lamj.conjugate()
+                p = mi + mj + (n + 2.0) / 2.0
+                lo = 2 * (mi + mj)
+                log_mag = half_gammas[lo : lo + n_entries] - p * math.log(abs(s))
+                phase = -p * cmath.phase(s)
+                total += 0.5 * ci * cj.conjugate() * np.exp(log_mag) * np.exp(1j * phase)
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("q-sequence overflowed; reduce the number of entries")
     return np.maximum(total.real, 0.0)
@@ -358,14 +371,17 @@ def _a_series_terms(symbol: Symbol, x: float, n_terms: int) -> np.ndarray:
     terms = radial_terms(symbol)
     n = np.arange(n_terms, dtype=float)
     log_weight = n * math.log(x) - gammaln(n + 1.0)
+    half_gammas = _half_gammas(terms, n_terms)
     total = np.zeros(n_terms, dtype=complex)
-    for ci, mi, lami in terms:
-        for cj, mj, lamj in terms:
-            s = 1.0 - lami - lamj.conjugate()
-            p = mi + mj + (n + 2.0) / 2.0
-            log_mag = gammaln(p) - p * math.log(abs(s)) + log_weight
-            phase = -p * cmath.phase(s)
-            total += 0.5 * ci * cj.conjugate() * np.exp(log_mag + 1j * phase)
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        for ci, mi, lami in terms:
+            for cj, mj, lamj in terms:
+                s = 1.0 - lami - lamj.conjugate()
+                p = mi + mj + (n + 2.0) / 2.0
+                lo = 2 * (mi + mj)
+                log_mag = half_gammas[lo : lo + n_terms] - p * math.log(abs(s)) + log_weight
+                phase = -p * cmath.phase(s)
+                total += 0.5 * ci * cj.conjugate() * np.exp(log_mag + 1j * phase)
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("A-series terms overflowed")
     return total.real

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from fock_toeplitz import NonFiniteResultError
+from fock_toeplitz import NonFiniteResultError, cli
 from fock_toeplitz.cli import ENV_TOL, main, parse_complex, render_json
 
 CONST = '{"kind": "radial_monomial", "m": 0}'
@@ -93,6 +93,18 @@ class TestMatrixCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "m,n,re,im"
         assert len(lines) == 10
+
+    def test_truncation_above_the_dense_limit_is_refused(self, capsys):
+        # refused before the 40000 x 40000 complex matrix (about 25 GB) exists
+        code, out, err = run_cli(capsys, "matrix", "--symbol", R2, "-N", "40000")
+        assert code == 2
+        assert out == ""
+        assert f"MAX_DENSE_TRUNCATION = {cli.MAX_DENSE_TRUNCATION}" in err
+
+    def test_dense_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DENSE_TRUNCATION", 6)
+        assert run_cli(capsys, "matrix", "--symbol", R2, "-N", "6")[0] == 0
+        assert run_cli(capsys, "matrix", "--symbol", R2, "-N", "7")[0] == 2
 
 
 class TestClassifyCommand:
@@ -214,6 +226,13 @@ class TestOtherCommands:
         assert len(points) == 5
         for p in points:
             np.testing.assert_allclose(p["re"], 1.0 + p["r"] ** 2, rtol=1e-10)
+
+    @pytest.mark.parametrize("points", ["-1", str(cli.MAX_WICK_POINTS + 1)])
+    def test_wick_points_outside_the_limit_are_refused(self, capsys, points):
+        code, out, err = run_cli(capsys, "wick", "--symbol", R2, "--points", points)
+        assert code == 2
+        assert out == ""
+        assert f"MAX_WICK_POINTS = {cli.MAX_WICK_POINTS}" in err
 
     def test_heat(self, capsys):
         code, out, _ = run_cli(capsys, "heat", "--symbol", R2, "--t", "1.0")

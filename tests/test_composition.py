@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import poch
 
 from fock_toeplitz import (
     BivariatePolynomial,
@@ -22,6 +23,7 @@ from fock_toeplitz import (
     reconstruct_symbol,
     toeplitz_matrix,
 )
+from fock_toeplitz.composition import _recognize_polynomial
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 BETA = complex(3.0, 4.0) / 5.0
@@ -174,7 +176,40 @@ class TestComposeRadial:
         assert payload["tau"] == {"kind": "radial_monomial", "m": 0}
 
 
+def recognize_polynomial_per_degree(values, tol, max_degree=8):
+    """Reference: rebuild the rising-factorial basis for every degree."""
+    n_all = np.arange(len(values), dtype=float)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    for degree in range(min(max_degree, len(values) - 1) + 1):
+        basis = np.column_stack([poch(n_all + 1.0, m) for m in range(degree + 1)])
+        head = slice(0, degree + 1)
+        try:
+            coeffs = np.linalg.solve(basis[head, :], values[head])
+        except np.linalg.LinAlgError:
+            continue
+        residual = float(np.max(np.abs(basis @ coeffs - values))) / scale
+        if residual < tol:
+            return coeffs, residual
+    return None
+
+
 class TestReconstruction:
+    @pytest.mark.parametrize("n_entries", [3, 9, 40, 600])
+    def test_polynomial_fit_matches_the_per_degree_rebuild(self, n_entries):
+        rng = np.random.default_rng(n_entries)
+        for _ in range(12):
+            parts = tuple(
+                (complex(*rng.normal(size=2)), RadialMonomial(int(m)))
+                for m in rng.integers(0, 7, size=rng.integers(1, 4))
+            )
+            values = gamma_sequence(Combination(parts), n_entries, method="closed").values
+            for seq in (values, values * (1.0 + 1e-6 * rng.normal(size=n_entries))):
+                got = _recognize_polynomial(seq, 1e-8)
+                want = recognize_polynomial_per_degree(seq, 1e-8)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1] == want[1]
     def test_constant_sequence(self):
         assert reconstruct_symbol(gamma_sequence(RadialMonomial(0), 16)) == RadialMonomial(0)
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import roots_laguerre
+from scipy.special import gammaln, roots_laguerre
 
 from fock_toeplitz import (
     AccuracyError,
@@ -35,7 +35,7 @@ from fock_toeplitz import (
     toeplitz_matrix,
     wick_symbol_numeric,
 )
-from fock_toeplitz.fock import coherent_tail_bound
+from fock_toeplitz.fock import _monomial_entries, coherent_tail_bound
 
 BETA = complex(3.0, 4.0) / 5.0
 
@@ -89,6 +89,19 @@ class TestVectors:
 
 
 class TestToeplitzMatrix:
+    @pytest.mark.parametrize(
+        "j,k,n_dim", [(0, 0, 5), (2, 1, 40), (1, 3, 40), (4, 4, 300), (3, 0, 2), (0, 9, 5)]
+    )
+    def test_banded_entries_match_the_scalar_loop_bit_for_bit(self, j, k, n_dim):
+        expected = np.zeros((n_dim, n_dim), dtype=complex)
+        for n in range(n_dim):
+            m = n + j - k
+            if 0 <= m < n_dim:
+                log_val = gammaln(n + j + 1.0) - 0.5 * gammaln(n + 1.0) - 0.5 * gammaln(m + 1.0)
+                expected[m, n] = math.exp(log_val)
+        actual = _monomial_entries(j, k, n_dim)
+        assert actual.tobytes() == expected.tobytes()
+
     def test_constant_symbol_is_identity(self):
         op = toeplitz_matrix(RadialMonomial(0), 6)
         np.testing.assert_allclose(op.entries, np.eye(6), atol=1e-14)

@@ -17,6 +17,7 @@ from fock_toeplitz import (
     BivariatePolynomial,
     DivergenceError,
     DomainError,
+    NonFiniteResultError,
     QuadratureRule,
     RadialExponential,
     RadialMonomial,
@@ -156,12 +157,42 @@ class TestRuleCache:
         assert np.array_equal(cold.values, warm.values)
         assert np.array_equal(cold.abs_err, warm.abs_err)
 
-    def test_cli_import_skips_scipy_linalg(self):
-        code = "import sys, fock_toeplitz.cli; print('scipy.linalg' in sys.modules)"
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, fock_toeplitz.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+
+    def test_commands_without_quadrature_load_no_scipy(self):
+        # one interpreter runs every subcommand that builds no rule
+        code = """
+import contextlib, io, sys
+from fock_toeplitz.cli import main
+R2 = '{"kind": "radial_monomial", "m": 1}'
+EX = '{"kind": "radial_exponential", "lambda": {"re": 0.4, "im": 0.8}}'
+P = '{"kind": "poly", "terms": [{"j": 2, "k": 1, "c": 1.0}]}'
+calls = [
+    ["classify", "--theta", "1.28+0.96i"],
+    ["gamma", "--symbol", EX, "-N", "16", "--method", "closed"],
+    ["compose", "--phi", EX, "--psi", EX, "-N", "40"],
+    ["wick", "--symbol", R2, "-N", "48", "--points", "5"],
+    ["heat", "--symbol", R2, "--t", "1.0"],
+    ["diamond", "--phi", P, "--psi", P],
+    ["matrix", "--symbol", P, "-N", "6"],
+    ["spectrum", "--symbol", EX, "-N", "12"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 class TestIntegrateWeighted:
@@ -251,6 +282,12 @@ class TestGammaSequence:
     def test_unreachable_tolerance_marks_entries_unreliable(self):
         g = gamma_sequence(RadialExponential(LAM_EXAMPLE), 30, method="quadrature", tol=1e-30)
         assert len(g.unreliable) > 0
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed"])
+    def test_overflow_raises_and_names_the_first_entry(self, method):
+        # γ(n) = (n+200)!/n! exceeds float64 from n = 0 on
+        with pytest.raises(NonFiniteResultError, match=r"overflows float64 at n = 0$"):
+            gamma_sequence(RadialMonomial(200), 4, method=method)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

@@ -7,6 +7,7 @@ high-precision summation.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,13 @@ class TestQSequence:
         assert q.dtype == np.float64
         assert np.all(q >= 0.0)
 
+    def test_overflow_raises_without_runtime_warning(self):
+        s = Combination(((0.3, RadialMonomial(2)), (1.0, RadialExponential(-0.5 + 0.2j))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError):
+                q_sequence(s, 500)
+
 
 class TestASeries:
     def test_constant_symbol_at_origin(self):
@@ -267,6 +275,13 @@ class TestASeries:
     def test_requires_square_class(self):
         with pytest.raises(DivergenceError):
             a_series(RadialExponential(0.55), 1.0)
+
+    def test_overflow_raises_without_runtime_warning(self):
+        s = Combination(((0.3, RadialMonomial(2)), (1.0, RadialExponential(-0.5 + 0.2j))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError):
+                a_series(s, 1e3, n_terms=500)
 
 
 class TestJsonRoundTrip:
