@@ -215,6 +215,9 @@ class CompositionReport:
     reconstructed_tau: Symbol | None = None
     obstruction: ObstructionVerdict | None = None
     notes: tuple[str, ...] = ()
+    # the Gaussian Wick fit of gamma_tau, whatever its residual; None when it
+    # was not attempted or its series tail was unreachable.  Not serialized.
+    fit: GaussianWickFit | None = None
 
     def to_json(self) -> dict:
         return {
@@ -437,6 +440,7 @@ def compose_radial(
         reconstructed_tau=recon.symbol,
         obstruction=obstruction,
         notes=tuple(notes),
+        fit=fit,
     )
 
 
@@ -519,9 +523,11 @@ def audit_worked_example(n_entries: int = 40, tol: float = DEFAULT_TOL) -> Worke
     modulus_dev = float(np.max(np.abs(np.abs(gamma_closed.values) - 1.0)))
 
     composition = compose_radial(phi, phi, n_entries=n_entries, tol=tol)
-    fit = fit_gaussian_wick(
-        composition.gamma_tau, r_max=safe_fit_radius(composition.gamma_tau)
-    )
+    fit = composition.fit
+    if fit is None:  # fit again so that its error reaches the caller
+        fit = fit_gaussian_wick(
+            composition.gamma_tau, r_max=safe_fit_radius(composition.gamma_tau)
+        )
     k = fit.rate
     k_modulus_sq = abs(k) ** 2
     k_two_re = 2.0 * k.real

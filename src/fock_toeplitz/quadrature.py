@@ -22,8 +22,9 @@ requested tolerance or at the computable rounding floor
 """
 from __future__ import annotations
 
-import functools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,6 +62,9 @@ _FLOOR_FACTOR = 32.0  # multiples of eps·Σw|f| treated as unreachable
 # Rules kept per process: full ladders (orders 8..512) for ~146 weight
 # exponents, about 80 bytes per node, so ~12 MB when every ladder is full.
 _RULE_CACHE_SIZE = 1024
+# Nodes per batched build: bounds the recurrence's transient arrays (about
+# a dozen of this many longdoubles) while keeping a rung's batch whole.
+_BATCH_NODES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,56 +129,130 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
     read-only; copy them before writing.  Invalid arguments raise
     :class:`DomainError` before the cache is consulted.
     ``build_rule.cache_clear()`` empties the cache and
-    ``build_rule.cache_info()`` reports its hits, misses and size.
+    ``build_rule.cache_info()`` reports its hits, misses (the rules built)
+    and size.
     """
     if order < 1:
         raise DomainError(f"rule order must be >= 1, got {order}")
+    _check_alpha(alpha)
+    alpha = float(alpha)
+    rule = _RULES.get((order, alpha))
+    if rule is None:
+        (rule,) = _RULES.put(order, _build_rules(order, [alpha]))
+    return rule
+
+
+def _check_alpha(alpha: float) -> None:
     if alpha < 0:
         raise DomainError(f"weight exponent alpha must be >= 0, got {alpha}")
-    return _cached_rule(order, float(alpha))
 
 
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _cached_rule(order: int, alpha: float) -> QuadratureRule:
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _RuleCache:
+    """Bounded LRU map ``(order, alpha) -> QuadratureRule`` that takes a
+    whole batch of freshly built rules at once; ``misses`` counts them."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._rules: OrderedDict[tuple[int, float], QuadratureRule] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def get(self, key: tuple[int, float]) -> QuadratureRule | None:
+        with self._lock:
+            rule = self._rules.get(key)
+            if rule is not None:
+                self._rules.move_to_end(key)
+                self._hits += 1
+            return rule
+
+    def missing(self, order: int, alphas: list[float]) -> list[float]:
+        """The ``alphas`` without a cached rule of ``order``."""
+        with self._lock:
+            return [a for a in alphas if (order, a) not in self._rules]
+
+    def put(self, order: int, rules: list[QuadratureRule]) -> list[QuadratureRule]:
+        with self._lock:
+            for rule in rules:
+                self._rules[order, rule.alpha] = rule
+                self._rules.move_to_end((order, rule.alpha))
+            self._misses += len(rules)
+            while len(self._rules) > self.maxsize:
+                self._rules.popitem(last=False)
+        return rules
+
+    def clear(self) -> None:
+        with self._lock:
+            self._rules.clear()
+            self._hits = self._misses = 0
+
+    def info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._rules))
+
+
+_RULES = _RuleCache(_RULE_CACHE_SIZE)
+build_rule.cache_clear = _RULES.clear
+build_rule.cache_info = _RULES.info
+
+
+def _build_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
+    """The rules of ``order`` for every weight exponent in ``alphas``.
+
+    One recurrence runs over an ``(len(alphas), order)`` longdouble array, so
+    its Python loop is paid once per batch, not once per rule.  Each row sees
+    the IEEE operations a single-rule build would apply, so every rule is
+    bit-identical to one built alone.
+    """
     if order == 1:
         # single node at the first moment of the normalized weight
-        nodes = np.array([alpha + 1.0], dtype=_LD)
-        return _frozen_rule(1, alpha, nodes, np.array([1.0], dtype=_LD))
+        return [
+            _frozen_rule(1, a, np.array([a + 1.0], dtype=_LD), np.array([1.0], dtype=_LD))
+            for a in alphas
+        ]
 
     # imported here so that callers who never build a rule skip scipy.linalg
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    try:
-        seed, _ = eigh_tridiagonal(diag, off)
-    except LinAlgError as exc:
-        raise RuleConstructionError(
-            f"eigen-solver failed for order={order}, alpha={alpha}"
-        ) from exc
+    seeds = []
+    for alpha in alphas:
+        diag = 2.0 * k + alpha + 1.0
+        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        try:
+            seeds.append(eigh_tridiagonal(diag, off)[0])
+        except LinAlgError as exc:
+            raise RuleConstructionError(
+                f"eigen-solver failed for order={order}, alpha={alpha}"
+            ) from exc
 
-    a = 2.0 * np.arange(order, dtype=_LD) + _LD(alpha) + 1.0
+    # recurrence coefficients, one column per step j: a[j] and b[j] have
+    # shape (len(alphas), 1) and broadcast along each row of nodes
+    col = np.array(alphas, dtype=_LD)[:, None]
+    a = (2.0 * np.arange(order, dtype=_LD) + col + 1.0).T[:, :, None]
     kk = np.arange(1, order, dtype=_LD)
-    b = np.sqrt(kk * (kk + _LD(alpha)))
+    b = np.sqrt(kk * (kk + col)).T[:, :, None]
 
-    x = seed.astype(_LD)
+    x = np.array(seeds).astype(_LD)
     for _ in range(2):
         p_prev = np.zeros_like(x)
         p = np.ones_like(x)
         dp_prev = np.zeros_like(x)
         dp = np.zeros_like(x)
         for j in range(order):
+            shift = x - a[j]
             if j == 0:
-                p_next = (x - a[0]) * p / b[0]
-                dp_next = (p + (x - a[0]) * dp) / b[0]
+                p_next = shift * p / b[0]
+                dp_next = (p + shift * dp) / b[0]
             elif j < order - 1:
-                p_next = ((x - a[j]) * p - b[j - 1] * p_prev) / b[j]
-                dp_next = (p + (x - a[j]) * dp - b[j - 1] * dp_prev) / b[j]
+                p_next = (shift * p - b[j - 1] * p_prev) / b[j]
+                dp_next = (p + shift * dp - b[j - 1] * dp_prev) / b[j]
             else:
                 # last step needs no division: only the root matters
-                p_next = (x - a[j]) * p - b[j - 1] * p_prev
-                dp_next = p + (x - a[j]) * dp - b[j - 1] * dp_prev
+                p_next = shift * p - b[j - 1] * p_prev
+                dp_next = p + shift * dp - b[j - 1] * dp_prev
             p_prev, p = p, p_next
             dp_prev, dp = dp, dp_next
         x = x - p / dp
@@ -192,11 +270,15 @@ def _cached_rule(order: int, alpha: float) -> QuadratureRule:
         kernel += p * p
     unit_weights = 1.0 / kernel
 
-    if not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+    bad = ~np.all(np.isfinite(x), axis=1) | np.any(np.diff(x, axis=1) <= 0, axis=1)
+    if bad.any():
         raise RuleConstructionError(
-            f"node refinement failed for order={order}, alpha={alpha}"
+            f"node refinement failed for order={order}, alpha={alphas[int(np.argmax(bad))]}"
         )
-    return _frozen_rule(order, alpha, x, unit_weights)
+    return [
+        _frozen_rule(order, alpha, x[i].copy(), unit_weights[i].copy())
+        for i, alpha in enumerate(alphas)
+    ]
 
 
 def _frozen_rule(
@@ -207,44 +289,78 @@ def _frozen_rule(
     return QuadratureRule(order=order, alpha=alpha, nodes=nodes, unit_weights=unit_weights)
 
 
-build_rule.cache_clear = _cached_rule.cache_clear
-build_rule.cache_info = _cached_rule.cache_info
+def _rung_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
+    """The rules of ``order`` for ``alphas``: missing ones are built in
+    batches of at most ``_BATCH_NODES`` nodes, then each is looked up once
+    through :func:`build_rule`, right after its batch entered the cache."""
+    rules: list[QuadratureRule] = []
+    step = max(1, min(_BATCH_NODES // order, _RULE_CACHE_SIZE))
+    for start in range(0, len(alphas), step):
+        chunk = alphas[start : start + step]
+        missing = _RULES.missing(order, chunk)
+        if missing:
+            _RULES.put(order, _build_rules(order, missing))
+        rules += [build_rule(order, alpha) for alpha in chunk]
+    return rules
 
 
-def _adaptive_unit(
+def _ladder(
     f: Callable[[np.ndarray], np.ndarray],
-    alpha: float,
+    alphas: list[float],
     tol: float,
     max_order: int,
-) -> tuple[complex, float]:
-    """Order-doubling ladder for the unit-normalized integral.
+) -> list[tuple[complex, float]]:
+    """Order-doubling ladders for the unit-normalized integrals of ``f``, one
+    per weight exponent in ``alphas``, run in lockstep.
 
-    Returns ``(value, err)`` where ``err`` is the last successive difference,
-    clipped from below by the rounding floor of the final sum.  When the
-    floor is hit before ``tol``, the best value seen is returned with the
-    floor-aware estimate; the caller decides whether that is reliable.
+    Each rung (order 8, 16, 32, …) evaluates ``f`` once, on the concatenated
+    live nodes of every entry still climbing, and sums each rule's slice.
+    Per entry the result is ``(value, err)`` where ``err`` is the last
+    successive difference, clipped from below by the rounding floor of the
+    final sum.  When the floor is hit before ``tol``, the entry stops with
+    the floor as its estimate; at ``max_order`` it returns the best value
+    seen with its floor-aware estimate.  The caller decides whether that is
+    reliable.
     """
+    if max_order < 8:
+        raise DomainError(f"max_order must be >= 8, got {max_order}")
+    results: list[tuple[complex, float]] = [(0j, math.inf)] * len(alphas)
+    prev: dict[int, complex] = {}
+    best: dict[int, tuple[complex, float]] = {}
+    active = list(range(len(alphas)))
     order = 8
-    prev: complex | None = None
-    best: tuple[complex, float] | None = None
-    while order <= max_order:
-        value, gauge = build_rule(order, alpha).integrate_with_gauge(f)
-        floor = _FLOOR_FACTOR * _EPS_LD * gauge
-        if prev is not None:
-            est = abs(value - prev)
-            if best is None or est < best[1]:
-                best = (value, max(est, floor))
-            if est < tol:
-                return value, max(est, floor)
-            if est < floor:
-                # further refinement only re-rounds: report the floor
-                return value, floor
-        prev = value
+    while active and order <= max_order:
+        rules = _rung_rules(order, [alphas[i] for i in active])
+        weights = np.concatenate([rule._live_weights for rule in rules])
+        fx = np.asarray(f(np.concatenate([rule._live_nodes for rule in rules])))
+        terms = weights * fx
+        gauges = weights.real * np.abs(fx)
+        climbing = []
+        end = 0
+        for i, rule in zip(active, rules):
+            start, end = end, end + rule._live_nodes.size
+            # np.add.reduce is np.sum's pairwise sum without its wrapper
+            value = complex(np.add.reduce(terms[start:end]))
+            floor = _FLOOR_FACTOR * _EPS_LD * float(np.add.reduce(gauges[start:end]))
+            if i in prev:
+                est = abs(value - prev[i])
+                if i not in best or est < best[i][1]:
+                    best[i] = (value, max(est, floor))
+                if est < tol:
+                    results[i] = (value, max(est, floor))
+                    continue
+                if est < floor:
+                    # further refinement only re-rounds: report the floor
+                    results[i] = (value, floor)
+                    continue
+            prev[i] = value
+            climbing.append(i)
+        active = climbing
         order *= 2
-    assert best is not None or prev is not None
-    if best is None:
-        return prev, math.inf  # single evaluation, no estimate possible
-    return best
+    for i in active:
+        # a single rung gives no estimate
+        results[i] = best.get(i, (prev[i], math.inf))
+    return results
 
 
 def integrate_weighted(
@@ -260,7 +376,8 @@ def integrate_weighted(
     the raw ``Γ(α+1)`` normalization.  ``err > tol`` in the returned pair
     flags a partial result (max order reached or rounding floor hit).
     """
-    value, err = _adaptive_unit(f, alpha, tol, max_order)
+    _check_alpha(alpha)
+    ((value, err),) = _ladder(f, [float(alpha)], tol, max_order)
     if alpha < 170.0:
         scale = math.gamma(alpha + 1.0)
     else:
@@ -315,7 +432,7 @@ def _gamma_closed(terms, n_entries: int) -> np.ndarray:
 
     Each term contributes ``c · Γ(n+m+1)/n! · (1−λ)^{−(n+m+1)}``; the ``λ=0``
     case reduces to the rising factorial ``(n+1)_m`` and is computed exactly.
-    Raises :class:`NonFiniteResultError` when an entry overflows float64.
+    Entries that overflow float64 come back non-finite, without a warning.
     """
     n = np.arange(n_entries, dtype=float)
     out = np.zeros(n_entries, dtype=complex)
@@ -329,10 +446,13 @@ def _gamma_closed(terms, n_entries: int) -> np.ndarray:
                     complex(1.0 - lam)
                 )
                 out += c * np.exp(log_term)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise _overflow_error("closed-form", int(bad[0]))
     return out
+
+
+def _first_overflow(values: np.ndarray) -> int:
+    """Index of the first non-finite entry, or ``len(values)`` if none."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    return int(bad[0]) if bad.size else len(values)
 
 
 def _overflow_error(path: str, first: int) -> NonFiniteResultError:
@@ -353,11 +473,14 @@ def gamma_sequence(
     term-by-term closed forms, ``"quadrature"`` forces generalized
     Gauss–Laguerre with weight exponent ``α = n`` for each ``n``, and
     ``"auto"`` prefers the closed forms, which exist for the whole
-    representable family.  The quadrature rules come from the per-process
-    cache of :func:`build_rule`, so a later sequence over the same ``n``
-    builds no rule again; each rung of the order ladder evaluates the
-    profile once.  Either path raises :class:`NonFiniteResultError`, naming
-    the first ``n``, when an entry overflows float64.
+    representable family.  The quadrature path runs the order ladders of
+    every ``n`` in lockstep: each rung builds its missing rules in one batch
+    into the per-process cache of :func:`build_rule` (so a later sequence
+    over the same ``n`` builds no rule again) and evaluates the profile once
+    for all ``n`` still climbing.  Either path raises
+    :class:`NonFiniteResultError`, naming the first ``n``, when an entry
+    overflows float64; the quadrature path also does so where the closed
+    form overflows but the rule's nodes do not reach that far.
     """
     if n_entries < 1:
         raise DomainError("need at least one gamma entry")
@@ -370,22 +493,26 @@ def gamma_sequence(
     if method not in ("auto", "closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
 
-    terms = radial_terms(symbol)
+    closed = _gamma_closed(radial_terms(symbol), n_entries)
+    closed_end = _first_overflow(closed)
     if method in ("auto", "closed"):
-        values = _gamma_closed(terms, n_entries)
-        abs_err = 16.0 * np.finfo(float).eps * np.abs(values)
+        if closed_end < n_entries:
+            raise _overflow_error("closed-form", closed_end)
+        abs_err = 16.0 * np.finfo(float).eps * np.abs(closed)
         return GammaSequence(
-            values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="closed"
+            values=closed, abs_err=abs_err, source=describe(symbol), tol=tol, method="closed"
         )
 
-    values = np.zeros(n_entries, dtype=complex)
-    abs_err = np.zeros(n_entries, dtype=float)
+    # Entries from closed_end on overflow float64 even where the ladder's
+    # nodes cannot reach the mass that makes them overflow, so they are not
+    # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
     profile = lambda u: radial_profile(symbol, u)  # noqa: E731
-    for n in range(n_entries):
-        # unit weights already divide by Γ(n+1): the sum is γ(n) directly
-        values[n], abs_err[n] = _adaptive_unit(profile, float(n), tol, max_order)
-        if not np.isfinite(values[n]):
-            raise _overflow_error("quadrature", n)
+    ladder = _ladder(profile, [float(n) for n in range(closed_end)], tol, max_order)
+    values = np.array([value for value, _ in ladder], dtype=complex)
+    abs_err = np.array([err for _, err in ladder], dtype=float)
+    first = _first_overflow(values)
+    if first < n_entries:
+        raise _overflow_error("quadrature", first)
     return GammaSequence(
         values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"
     )

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import poch
 
 from fock_toeplitz import (
+    AccuracyError,
     BivariatePolynomial,
     Combination,
     DomainError,
@@ -18,11 +19,13 @@ from fock_toeplitz import (
     audit_worked_example,
     classify_obstruction,
     compose_radial,
+    fit_gaussian_wick,
     gamma_sequence,
     reconstruct_details,
     reconstruct_symbol,
     toeplitz_matrix,
 )
+from fock_toeplitz import composition
 from fock_toeplitz.composition import _recognize_polynomial
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
@@ -299,6 +302,31 @@ class TestWorkedExample:
         assert report.composition.hyp3_phi_square_class.member
         assert any("tension" in note for note in report.notes)
         assert any("convention" in note for note in report.notes)
+
+    def test_one_gaussian_fit_per_worked_example(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_gaussian_wick(*args, **kwargs)
+
+        monkeypatch.setattr(composition, "fit_gaussian_wick", counting)
+        report = audit_worked_example(n_entries=24)
+        assert len(calls) == 1
+        assert report.fit is report.composition.fit
+        assert "fit" not in report.composition.to_json()
+
+    def test_unreachable_fit_still_reaches_the_caller(self, monkeypatch):
+        calls = []
+
+        def unreachable(*args, **kwargs):
+            calls.append(args)
+            raise AccuracyError("series tail unreachable")
+
+        monkeypatch.setattr(composition, "fit_gaussian_wick", unreachable)
+        with pytest.raises(AccuracyError, match="unreachable"):
+            audit_worked_example(n_entries=24)
+        assert len(calls) == 2  # compose_radial swallows it, the audit does not
 
     def test_json_report_shape(self):
         payload = audit_worked_example(n_entries=12).to_json()

@@ -15,6 +15,7 @@ from scipy.special import gammaln
 
 from fock_toeplitz import (
     BivariatePolynomial,
+    Combination,
     DivergenceError,
     DomainError,
     NonFiniteResultError,
@@ -25,7 +26,9 @@ from fock_toeplitz import (
     gamma_sequence,
     integrate_weighted,
 )
-from fock_toeplitz.quadrature import DEFAULT_TOL, MAX_ORDER
+from fock_toeplitz import quadrature
+from fock_toeplitz.quadrature import DEFAULT_TOL, MAX_ORDER, _build_rules
+from fock_toeplitz.symbols import radial_profile
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 
@@ -39,6 +42,87 @@ GAMMA_EXAMPLE = {  # λ = (2+4i)/5
     10: -0.71409248256 - 0.70005137408j,
     40: 0.9492379047050355 + 0.3145590568894717j,
 }
+
+
+# ---------------------------------------------------------------------------
+# references: the one-rule builder and the per-n ladder, as they were before
+# rules were built in batches and the ladders of a sequence ran in lockstep
+
+
+def _reference_rule(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and unit weights of one rule, built on its own."""
+    from scipy.linalg import eigh_tridiagonal
+
+    ld = np.longdouble
+    k = np.arange(order, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    seed, _ = eigh_tridiagonal(diag, off)
+
+    a = 2.0 * np.arange(order, dtype=ld) + ld(alpha) + 1.0
+    kk = np.arange(1, order, dtype=ld)
+    b = np.sqrt(kk * (kk + ld(alpha)))
+
+    x = seed.astype(ld)
+    for _ in range(2):
+        p_prev = np.zeros_like(x)
+        p = np.ones_like(x)
+        dp_prev = np.zeros_like(x)
+        dp = np.zeros_like(x)
+        for j in range(order):
+            if j == 0:
+                p_next = (x - a[0]) * p / b[0]
+                dp_next = (p + (x - a[0]) * dp) / b[0]
+            elif j < order - 1:
+                p_next = ((x - a[j]) * p - b[j - 1] * p_prev) / b[j]
+                dp_next = (p + (x - a[j]) * dp - b[j - 1] * dp_prev) / b[j]
+            else:
+                p_next = (x - a[j]) * p - b[j - 1] * p_prev
+                dp_next = p + (x - a[j]) * dp - b[j - 1] * dp_prev
+            p_prev, p = p, p_next
+            dp_prev, dp = dp, dp_next
+        x = x - p / dp
+
+    kernel = np.ones_like(x)
+    p_prev = np.zeros_like(x)
+    p = np.ones_like(x)
+    for j in range(order - 1):
+        if j == 0:
+            p_next = (x - a[0]) * p / b[0]
+        else:
+            p_next = ((x - a[j]) * p - b[j - 1] * p_prev) / b[j]
+        p_prev, p = p, p_next
+        kernel += p * p
+    return x, 1.0 / kernel
+
+
+def _reference_ladder(f, alpha: float, tol: float, max_order: int):
+    """``(value, err, stop)`` of the order-doubling ladder for one ``alpha``;
+    ``stop`` names the branch that ended it."""
+    order = 8
+    prev = None
+    best = None
+    while order <= max_order:
+        value, gauge = build_rule(order, alpha).integrate_with_gauge(f)
+        floor = quadrature._FLOOR_FACTOR * quadrature._EPS_LD * gauge
+        if prev is not None:
+            est = abs(value - prev)
+            if best is None or est < best[1]:
+                best = (value, max(est, floor))
+            if est < tol:
+                return value, max(est, floor), "tol"
+            if est < floor:
+                return value, floor, "floor"
+        prev = value
+        order *= 2
+    if best is None:
+        return prev, math.inf, "single rung"
+    return (*best, "max order, last" if best[0] == prev else "max order, earlier")
+
+
+def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
+    profile = lambda u: radial_profile(symbol, u)  # noqa: E731
+    return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
 
 
 class TestBuildRule:
@@ -100,6 +184,16 @@ class TestBuildRule:
         assert np.array_equal(cached.nodes, fresh.nodes)
         assert np.array_equal(cached.unit_weights, fresh.unit_weights)
 
+    @pytest.mark.parametrize("order", [2, 3, 8, 16, 32, 64, 128, 256, 512])
+    def test_batched_rules_equal_rules_built_alone(self, order):
+        # by value: tobytes() of a longdouble array includes padding bytes
+        alphas = [float(a) for a in range(64)] + [0.5, 1.5, 7.25, 100.0, 300.0]
+        for alpha, rule in zip(alphas, _build_rules(order, alphas)):
+            nodes, unit_weights = _reference_rule(order, alpha)
+            assert rule.order == order and rule.alpha == alpha
+            assert np.array_equal(rule.nodes, nodes), (order, alpha)
+            assert np.array_equal(rule.unit_weights, unit_weights), (order, alpha)
+
 
 class TestRuleCache:
     def test_integer_and_float_alpha_share_one_rule(self):
@@ -153,9 +247,47 @@ class TestRuleCache:
         cold = gamma_sequence(symbol, 41, method="quadrature")
         built = build_rule.cache_info().misses
         warm = gamma_sequence(symbol, 41, method="quadrature")
-        assert build_rule.cache_info().misses == built > 0
+        # one build per (n, order) rung that the 41 ladders climb
+        assert build_rule.cache_info().misses == built == 211
         assert np.array_equal(cold.values, warm.values)
         assert np.array_equal(cold.abs_err, warm.abs_err)
+
+    def test_least_recently_used_rule_is_evicted(self):
+        size = quadrature._RULE_CACHE_SIZE
+        build_rule.cache_clear()
+        first = build_rule(1, 0.0)
+        second = build_rule(1, 1.0)
+        for alpha in range(2, size):
+            build_rule(1, alpha)
+        assert build_rule.cache_info().currsize == size
+        assert build_rule(1, 0.0) is first  # a hit makes it the most recent
+        build_rule(1, size)
+        info = build_rule.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (size, size + 1, 1)
+        assert build_rule(1, 0.0) is first
+        assert build_rule(1, 1.0) is not second
+        assert build_rule.cache_info().misses == size + 2
+
+    def test_a_batch_enters_the_cache_whole(self):
+        build_rule.cache_clear()
+        profile = lambda u: np.exp(-u)  # noqa: E731
+        quadrature._ladder(profile, [0.0, 1.0, 2.0], 1e-30, 16)
+        info = build_rule.cache_info()
+        assert (info.misses, info.currsize) == (6, 6)
+        assert info.hits == 6  # each rung looks its rules up through build_rule
+
+    def test_profile_is_evaluated_once_per_rung(self, monkeypatch):
+        sizes = []
+
+        def counting(symbol, u):
+            sizes.append(u.size)
+            return radial_profile(symbol, u)
+
+        monkeypatch.setattr(quadrature, "radial_profile", counting)
+        symbol = RadialExponential(LAM_EXAMPLE)
+        gamma_sequence(symbol, 41, method="quadrature")
+        assert 1 < len(sizes) <= 7  # rungs of order 8, 16, …, 512
+        assert sizes[0] == 41 * 8  # every entry climbs the first rung
 
     def test_cli_import_loads_no_scipy(self):
         code = (
@@ -264,8 +396,6 @@ class TestGammaSequence:
         np.testing.assert_allclose(g.values.real, (n + 1.0) * (n + 2.0), rtol=1e-11)
 
     def test_real_nonnegative_symbol_gives_real_nonnegative_gamma(self):
-        from fock_toeplitz import Combination
-
         s = Combination(((0.5, RadialMonomial(0)), (1.0, RadialMonomial(1))))
         g = gamma_sequence(s, 16)
         assert np.max(np.abs(g.values.imag)) <= 1e-14
@@ -289,6 +419,18 @@ class TestGammaSequence:
         with pytest.raises(NonFiniteResultError, match=r"overflows float64 at n = 0$"):
             gamma_sequence(RadialMonomial(200), 4, method=method)
 
+    @pytest.mark.parametrize("method", ["quadrature", "closed"])
+    def test_overflow_out_of_the_nodes_reach_raises(self, method):
+        # γ(1) = 171! overflows, but the nodes of the n = 1 ladder cannot
+        # reach the mass near u = 171 that makes it so
+        match = r"overflows float64 at n = 1; request at most 1 entries$"
+        with pytest.raises(NonFiniteResultError, match=match):
+            gamma_sequence(RadialMonomial(170), 2, method=method)
+
+    def test_entries_before_an_overflow_are_finite(self):
+        g = gamma_sequence(RadialMonomial(170), 1, method="quadrature")
+        assert np.isfinite(g.values[0])
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             gamma_sequence(BivariatePolynomial({(1, 0): 1.0}), 4)
@@ -311,3 +453,47 @@ class TestGammaSequence:
         assert payload["method"] == "closed"
         assert [e["n"] for e in payload["entries"]] == [0, 1, 2]
         assert payload["entries"][2]["gamma"]["re"] == pytest.approx(3.0)
+
+
+def _seeded_combinations(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        lam = complex(rng.uniform(-1.4, 0.45), rng.uniform(-0.8, 0.8))
+        c1 = complex(rng.normal(), rng.normal())
+        m = int(rng.integers(0, 4))
+        c2 = complex(rng.normal(), rng.normal())
+        yield Combination(((c1, RadialMonomial(m)), (c2, RadialExponential(lam))))
+
+
+class TestLockstepLadder:
+    def test_sequences_are_bit_identical_to_the_per_n_ladder(self):
+        example = RadialExponential(LAM_EXAMPLE)
+        cases = [(example, 41, tol, 512) for tol in (1e-12, 1e-8, 1e-30)]
+        cases += [(example, 41, 1e-12, 64), (example, 41, 1e-12, 8)]
+        for symbol in _seeded_combinations(5, 8):
+            cases += [(symbol, 45, 1e-12, 512), (symbol, 45, 1e-30, 64)]
+        stops = set()
+        for symbol, n_entries, tol, max_order in cases:
+            ref = _reference_gamma(symbol, n_entries, tol, max_order)
+            g = gamma_sequence(symbol, n_entries, tol=tol, method="quadrature", max_order=max_order)
+            assert np.array_equal(g.values, [value for value, _, _ in ref])
+            assert np.array_equal(g.abs_err, [err for _, err, _ in ref])
+            stops.update(stop for _, _, stop in ref)
+        # every way out of a ladder was taken
+        assert stops == {"tol", "floor", "max order, last", "max order, earlier", "single rung"}
+
+    def test_integrate_weighted_runs_the_same_ladder(self):
+        f = lambda u: np.exp(LAM_EXAMPLE * u.astype(np.clongdouble))  # noqa: E731
+        for alpha in (0.0, 7.0, 30.0):
+            value, err = integrate_weighted(f, alpha)
+            ref_value, ref_err, _ = _reference_ladder(f, alpha, DEFAULT_TOL, MAX_ORDER)
+            scale = math.gamma(alpha + 1.0)
+            assert (value, err) == (ref_value * scale, ref_err * scale)
+
+    def test_invalid_ladder_arguments(self):
+        with pytest.raises(DomainError):
+            integrate_weighted(lambda u: u, -0.5)
+        with pytest.raises(DomainError):
+            integrate_weighted(lambda u: u, 1.0, max_order=4)
+        with pytest.raises(DomainError):
+            gamma_sequence(RadialMonomial(1), 4, method="quadrature", max_order=4)
