@@ -83,42 +83,41 @@ class RadialPowerSeries:
 
     gamma: GammaSequence
 
-    def tail_bound(self, r: float) -> float:
-        x = float(r) * float(r)
-        n = len(self.gamma)
-        peak = float(np.max(np.abs(self.gamma.values))) if n else 0.0
-        if x == 0.0 or peak == 0.0:
-            return 0.0
-        log_tail = n * math.log(x) - math.lgamma(n + 1.0)
-        return peak * math.exp(log_tail) if log_tail < 700.0 else math.inf
-
     def eval(self, r: float, tol: float = 1e-10) -> complex:
-        bound = self.tail_bound(r)
+        x = float(r) * float(r)
+        values = self.gamma.values
+        peak = float(np.max(np.abs(values))) if len(values) else 0.0
+        log_peak = math.log(peak) if peak else -math.inf
+        bound = _series_tail(x, len(values), log_peak)
         if bound > tol:
-            needed = len(self.gamma)
-            while needed < 100_000 and _series_tail(r, needed) > tol / max(
-                1.0, float(np.max(np.abs(self.gamma.values)))
-            ):
-                needed *= 2
+            needed = _terms_needed(lambda n: _series_tail(x, n, log_peak), len(values), tol)
             raise AccuracyError(
                 f"series tail {bound:.3e} exceeds tol {tol:.3e} at r={r} with "
-                f"{len(self.gamma)} terms; ~{needed} terms would suffice"
+                f"{len(values)} terms; ~{needed} terms would suffice"
             )
-        x = float(r) * float(r)
-        total = 0j
-        weight = 1.0  # x^n / n!
-        for n, g in enumerate(self.gamma.values):
-            total += g * weight
-            weight *= x / (n + 1.0)
-        return math.exp(-x) * total
+        # each accumulate runs in the order of the scalar recurrence for x^n/n!
+        # and its running sum from 0j, so the value matches it bit for bit
+        ratios = x / np.arange(1.0, len(values))
+        weights = np.multiply.accumulate(np.concatenate(([1.0], ratios)))
+        terms = np.concatenate(([0j], values * weights))
+        return math.exp(-x) * np.add.accumulate(terms)[-1]
 
 
-def _series_tail(r: float, n_terms: int) -> float:
-    x = float(r) * float(r)
+def _series_tail(x: float, n: int, log_scale: float) -> float:
+    """``xⁿ/n! · e^{log_scale}`` in log space: with ``Σ_{k≥n} xᵏ/k! ≤ xⁿ/n! · eˣ``,
+    the tail bound of every exponential series here."""
     if x == 0.0:
         return 0.0
-    log_tail = n_terms * math.log(x) - math.lgamma(n_terms + 1.0)
-    return math.exp(log_tail) if log_tail < 700.0 else math.inf
+    log_bound = n * math.log(x) - math.lgamma(n + 1.0) + log_scale
+    return math.exp(log_bound) if log_bound < 700.0 else math.inf
+
+
+def _terms_needed(bound, n: int, tol: float) -> int:
+    """The first doubling of ``n`` whose tail ``bound(n)`` meets ``tol``, capped at 100 000."""
+    n = max(n, 1)
+    while n < 100_000 and bound(n) > tol:
+        n *= 2
+    return n
 
 
 def wick_from_gamma(gamma: GammaSequence, r: float, tol: float = 1e-10) -> complex:

@@ -184,18 +184,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        if "truncation" in raw:
-            cfg = replace(cfg, truncation=int(raw["truncation"]), truncation_explicit=True)
-        if "tol" in raw:
-            cfg = replace(cfg, tol=float(raw["tol"]), tol_explicit=True)
-        if "format" in raw:
-            cfg = replace(cfg, fmt=str(raw["format"]))
-        if "output" in raw:
-            cfg = replace(cfg, output=raw["output"])
-        if "x_samples" in raw:
-            if not isinstance(raw["x_samples"], list):
-                raise UsageError("config x_samples must be a list of numbers")
-            cfg = replace(cfg, x_samples=tuple(float(x) for x in raw["x_samples"]))
+        try:
+            if "truncation" in raw:
+                cfg = replace(cfg, truncation=int(raw["truncation"]), truncation_explicit=True)
+            if "tol" in raw:
+                cfg = replace(cfg, tol=float(raw["tol"]), tol_explicit=True)
+            if "format" in raw:
+                cfg = replace(cfg, fmt=str(raw["format"]))
+            if "output" in raw:
+                cfg = replace(cfg, output=raw["output"])
+            if "x_samples" in raw:
+                if not isinstance(raw["x_samples"], list):
+                    raise UsageError("config x_samples must be a list of numbers")
+                cfg = replace(cfg, x_samples=tuple(float(x) for x in raw["x_samples"]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"bad value in config {args.config!r}: {exc}") from exc
 
     if args.truncation is not None:
         cfg = replace(cfg, truncation=args.truncation, truncation_explicit=True)
@@ -288,7 +291,7 @@ def _cmd_wick(args, cfg: RunConfig) -> str:
         {
             "symbol": symbols.symbol_to_json(symbol),
             "points": [
-                {"r": float(r), "re": v.real, "im": v.imag} for r, v in zip(radii, values)
+                {"r": float(r), **symbols.complex_to_json(v)} for r, v in zip(radii, values)
             ],
         }
     )
@@ -316,7 +319,7 @@ def _cmd_spectrum(args, cfg: RunConfig) -> str:
         {
             "symbol": symbols.symbol_to_json(symbol),
             "label": prefix.label,
-            "points": [{"re": p.real, "im": p.imag} for p in prefix.points],
+            "points": [symbols.complex_to_json(p) for p in prefix.points],
         }
     )
 
@@ -446,11 +449,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 4
 
-    if cfg.output is not None:
+    text = text if text.endswith("\n") else text + "\n"
+    if cfg.output is None:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output {cfg.output!r}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

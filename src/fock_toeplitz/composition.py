@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .symbols import (
     Symbol,
     SymbolClass,
     a_series,
+    complex_to_json,
     describe,
     is_radial,
     membership,
@@ -126,7 +127,7 @@ class ObstructionVerdict:
 
     def to_json(self) -> dict:
         return {
-            "theta": {"re": self.theta.real, "im": self.theta.imag},
+            "theta": complex_to_json(self.theta),
             "case": self.case.value,
             "margin": self.margin,
         }
@@ -432,15 +433,9 @@ def compose_radial(
             f"gamma product by at most {deviation:.3e}"
         )
 
-    return CompositionReport(
-        hyp1_bounded_psi=report.hyp1_bounded_psi,
-        hyp2_product_bounded=report.hyp2_product_bounded,
-        hyp3_phi_square_class=report.hyp3_phi_square_class,
-        gamma_tau=report.gamma_tau,
-        reconstructed_tau=recon.symbol,
-        obstruction=obstruction,
-        notes=tuple(notes),
-        fit=fit,
+    return replace(
+        report, reconstructed_tau=recon.symbol, obstruction=obstruction,
+        notes=tuple(notes), fit=fit,
     )
 
 
@@ -496,8 +491,8 @@ class WorkedExampleReport:
             "gamma_quadrature": self.gamma_quadrature.to_json(),
             "composition": self.composition.to_json(),
             "fit": {
-                "amplitude": {"re": self.fit.amplitude.real, "im": self.fit.amplitude.imag},
-                "rate": {"re": self.fit.rate.real, "im": self.fit.rate.imag},
+                "amplitude": complex_to_json(self.fit.amplitude),
+                "rate": complex_to_json(self.fit.rate),
                 "residual": self.fit.residual,
             },
             "k_modulus_sq": self.k_modulus_sq,

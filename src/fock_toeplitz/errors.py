@@ -1,16 +1,13 @@
 """Exception hierarchy shared by all modules.
 
-Every error carries an ``exit_code`` so the command-line front end can map
-failures onto its exit-code contract (2 = usage, 3 = accuracy, 4 = domain)
-without inspecting exception types one by one.
+The command-line front end maps these by type onto its exit codes:
+:class:`AccuracyError` to 3 and :class:`DomainError` to 4.
 """
 from __future__ import annotations
 
 
 class FockToeplitzError(Exception):
     """Base class for all library errors."""
-
-    exit_code = 1
 
 
 class DomainError(FockToeplitzError):
@@ -20,8 +17,6 @@ class DomainError(FockToeplitzError):
     a non-polynomial symbol passed to the diamond product.
     """
 
-    exit_code = 4
-
 
 class DivergenceError(DomainError):
     """A defining integral or series diverges for the given parameters."""
@@ -29,8 +24,6 @@ class DivergenceError(DomainError):
 
 class AccuracyError(FockToeplitzError):
     """The requested tolerance cannot be certified."""
-
-    exit_code = 3
 
 
 class NonFiniteResultError(AccuracyError):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import gammaln
+from .calculus import _series_tail, _terms_needed
 from .errors import AccuracyError, DomainError
 from .quadrature import DEFAULT_TOL, GammaSequence, gamma_sequence
 from .symbols import Symbol, is_radial, to_polynomial
@@ -32,7 +33,6 @@ __all__ = [
     "ladder_matrices",
     "scaling_operator",
     "wick_symbol_numeric",
-    "coherent_tail_bound",
     "norm_estimate",
     "spectrum_radial",
     "r_map",
@@ -85,24 +85,15 @@ class TruncatedOperator:
 
 def coherent_coefficients(a: complex, n_entries: int) -> FockVector:
     """Expansion of the coherent state ``K_a(z) = e^{z ā}``: ``c_n = āⁿ/√n!``."""
-    a = complex(a)
-    c = np.empty(n_entries, dtype=complex)
-    term = 1.0 + 0j
-    for n in range(n_entries):
-        c[n] = term
-        term *= a.conjugate() / math.sqrt(n + 1.0)
-    return FockVector(c)
+    ratios = complex(a).conjugate() / np.sqrt(np.arange(1.0, n_entries))
+    return FockVector(np.multiply.accumulate(np.concatenate(([1.0 + 0j], ratios)))[:n_entries])
 
 
 def eval_fock(f: FockVector, z: complex) -> complex:
     """Pointwise value ``Σ c_n zⁿ/√n!``."""
-    z = complex(z)
-    basis = 1.0 + 0j
-    total = 0j
-    for n, c in enumerate(f.coeffs):
-        total += c * basis
-        basis *= z / math.sqrt(n + 1.0)
-    return total
+    ratios = complex(z) / np.sqrt(np.arange(1.0, len(f)))
+    basis = np.multiply.accumulate(np.concatenate(([1.0 + 0j], ratios)))[: len(f)]
+    return complex(np.sum(f.coeffs * basis))
 
 
 def _monomial_entries(j: int, k: int, n_dim: int) -> np.ndarray:
@@ -144,14 +135,10 @@ def ladder_matrices(n_dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
     """
     if n_dim < 2:
         raise DomainError("ladder matrices need dimension >= 2")
-    creation = np.zeros((n_dim, n_dim), dtype=complex)
-    annihilation = np.zeros((n_dim, n_dim), dtype=complex)
-    for n in range(n_dim - 1):
-        creation[n + 1, n] = math.sqrt(n + 1.0)
-        annihilation[n, n + 1] = math.sqrt(n + 1.0)
+    creation = np.diag(np.sqrt(np.arange(1.0, n_dim)), -1).astype(complex)
     return (
         TruncatedOperator(dim=n_dim, entries=creation),
-        TruncatedOperator(dim=n_dim, entries=annihilation),
+        TruncatedOperator(dim=n_dim, entries=creation.T.copy()),
     )
 
 
@@ -160,14 +147,6 @@ def scaling_operator(a: complex, n_dim: int) -> TruncatedOperator:
     a = complex(a)
     diag = np.array([a ** (n + 1) for n in range(n_dim)], dtype=complex)
     return TruncatedOperator(dim=n_dim, entries=np.diag(diag))
-
-
-def coherent_tail_bound(x: float, n_terms: int) -> float:
-    """Bound on the tail ``Σ_{n≥N} xⁿ/n!``: ``x^N/N! · e^x``, in log space."""
-    if x == 0.0:
-        return 0.0
-    log_bound = n_terms * math.log(x) - math.lgamma(n_terms + 1.0) + x
-    return math.exp(log_bound) if log_bound < 700.0 else math.inf
 
 
 def wick_symbol_numeric(
@@ -182,11 +161,9 @@ def wick_symbol_numeric(
     """
     v, z = complex(v), complex(z)
     x = abs(v) * abs(z)
-    bound = coherent_tail_bound(x, A.dim)
+    bound = _series_tail(x, A.dim, x)
     if bound > tol:
-        needed = A.dim
-        while needed < 100_000 and coherent_tail_bound(x, needed) > tol:
-            needed *= 2
+        needed = _terms_needed(lambda n: _series_tail(x, n, x), A.dim, tol)
         raise AccuracyError(
             f"coherent-state tail {bound:.3e} exceeds tol {tol:.3e} at truncation "
             f"{A.dim}; dimension ~{needed} would suffice"

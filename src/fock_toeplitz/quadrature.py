@@ -35,6 +35,7 @@ from .errors import DivergenceError, DomainError, NonFiniteResultError, RuleCons
 from .symbols import (
     Symbol,
     SymbolClass,
+    complex_to_json,
     describe,
     is_radial,
     membership,
@@ -93,25 +94,18 @@ class QuadratureRule:
 
     @property
     def weights(self) -> np.ndarray:
-        if self.alpha < 170.0:
-            scale = _LD(math.gamma(self.alpha + 1.0))
-        else:
-            scale = np.exp(_LD(math.lgamma(self.alpha + 1.0)))
-        return self.unit_weights * scale
+        return self.unit_weights * _gamma_scale(self.alpha)
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Unit-normalized integral ``∫ f(u) u^α e^{−u} du / Γ(α+1)``."""
-        return self.integrate_with_gauge(f)[0]
+        return complex(np.sum(self._live_weights * np.asarray(f(self._live_nodes))))
 
-    def integrate_with_gauge(
-        self, f: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[complex, float]:
-        """:meth:`integrate` and ``Σ w |f|`` against the unit weights — the
-        cancellation gauge — from one evaluation of ``f``."""
-        fx = np.asarray(f(self._live_nodes))
-        value = complex(np.sum(self._live_weights * fx))
-        gauge = float(np.sum(self._live_weights.real * np.abs(fx)).real)
-        return value, gauge
+
+def _gamma_scale(alpha: float) -> np.longdouble:
+    """``Γ(α+1)`` in longdouble, which holds it past the float64 range."""
+    if alpha < 170.0:
+        return _LD(math.gamma(alpha + 1.0))
+    return np.exp(_LD(math.lgamma(alpha + 1.0)))
 
 
 def build_rule(order: int, alpha: float) -> QuadratureRule:
@@ -375,14 +369,15 @@ def integrate_weighted(
     return values elementwise; complex values are fine.  The result carries
     the raw ``Γ(α+1)`` normalization.  ``err > tol`` in the returned pair
     flags a partial result (max order reached or rounding floor hit).
+    :class:`NonFiniteResultError` is raised when the value overflows float64.
     """
     _check_alpha(alpha)
     ((value, err),) = _ladder(f, [float(alpha)], tol, max_order)
-    if alpha < 170.0:
-        scale = math.gamma(alpha + 1.0)
-    else:
-        scale = math.exp(math.lgamma(alpha + 1.0))
-    return value * scale, err * scale
+    scale = float(_gamma_scale(alpha))  # inf past the float64 range
+    value = value * scale
+    if not np.isfinite(value):
+        raise NonFiniteResultError(f"weighted integral overflows float64 at alpha = {alpha}")
+    return value, err * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +413,7 @@ class GammaSequence:
             "entries": [
                 {
                     "n": n,
-                    "gamma": {"re": v.real, "im": v.imag},
+                    "gamma": complex_to_json(v),
                     "abs_err": float(e),
                 }
                 for n, (v, e) in enumerate(zip(self.values, self.abs_err))

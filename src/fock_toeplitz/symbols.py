@@ -300,14 +300,29 @@ def membership(symbol: Symbol, space: SymbolClass) -> MembershipVerdict:
 # q-sequence and A-series
 
 
-def _half_gammas(terms, n_entries: int) -> np.ndarray:
-    """``log Γ((i+2)/2)`` for ``i < n_entries + 4·max m``, in one lookup.
+def _pairwise_moments(terms, n_entries: int, log_weight) -> np.ndarray:
+    """``Σ_{i,j} ½ c_i c̄_j Γ(p) s^{−p} · e^{log_weight}`` for ``n < n_entries``,
+    with ``p = m_i + m_j + (n+2)/2`` and ``s = 1 − λ_i − λ̄_j``.
 
-    The pair of terms ``(m_i, m_j)`` needs ``log Γ(m_i + m_j + (n+2)/2)``
-    for ``n < n_entries``: the slice that starts at ``2(m_i + m_j)``.
+    Each term is exponentiated once, after its logarithm is summed, so large
+    moments and small weights may cancel; overflow comes back non-finite,
+    without a warning.  ``log Γ(p)`` for every pair is a slice, starting at
+    ``2(m_i + m_j)``, of one table of ``log Γ((i+2)/2)``.
     """
+    n = np.arange(n_entries, dtype=float)
     m_top = max((m for _, m, _ in terms), default=0)
-    return gammaln((np.arange(n_entries + 4 * m_top) + 2.0) / 2.0)
+    half_gammas = gammaln((np.arange(n_entries + 4 * m_top) + 2.0) / 2.0)
+    total = np.zeros(n_entries, dtype=complex)
+    with np.errstate(all="ignore"):
+        for ci, mi, lami in terms:
+            for cj, mj, lamj in terms:
+                s = 1.0 - lami - lamj.conjugate()
+                p = mi + mj + (n + 2.0) / 2.0
+                lo = 2 * (mi + mj)
+                log_mag = half_gammas[lo : lo + n_entries] - p * math.log(abs(s)) + log_weight
+                phase = -p * cmath.phase(s)
+                total += 0.5 * ci * cj.conjugate() * np.exp(log_mag + 1j * phase)
+    return total
 
 
 def q_sequence(symbol: Symbol, n_entries: int) -> np.ndarray:
@@ -323,19 +338,7 @@ def q_sequence(symbol: Symbol, n_entries: int) -> np.ndarray:
         raise DivergenceError(
             "q-sequence integrals diverge: symbol is outside the weighted L2 class"
         )
-    terms = radial_terms(symbol)
-    n = np.arange(n_entries, dtype=float)
-    half_gammas = _half_gammas(terms, n_entries)
-    total = np.zeros(n_entries, dtype=complex)
-    with np.errstate(all="ignore"):  # overflow is reported below, not warned
-        for ci, mi, lami in terms:
-            for cj, mj, lamj in terms:
-                s = 1.0 - lami - lamj.conjugate()
-                p = mi + mj + (n + 2.0) / 2.0
-                lo = 2 * (mi + mj)
-                log_mag = half_gammas[lo : lo + n_entries] - p * math.log(abs(s))
-                phase = -p * cmath.phase(s)
-                total += 0.5 * ci * cj.conjugate() * np.exp(log_mag) * np.exp(1j * phase)
+    total = _pairwise_moments(radial_terms(symbol), n_entries, 0.0)
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("q-sequence overflowed; reduce the number of entries")
     return np.maximum(total.real, 0.0)
@@ -368,20 +371,8 @@ def _a_series_terms(symbol: Symbol, x: float, n_terms: int) -> np.ndarray:
     ``x^n/n!`` factor keeps the terms themselves moderate, so the exponents
     are combined before exponentiating.
     """
-    terms = radial_terms(symbol)
     n = np.arange(n_terms, dtype=float)
-    log_weight = n * math.log(x) - gammaln(n + 1.0)
-    half_gammas = _half_gammas(terms, n_terms)
-    total = np.zeros(n_terms, dtype=complex)
-    with np.errstate(all="ignore"):  # overflow is reported below, not warned
-        for ci, mi, lami in terms:
-            for cj, mj, lamj in terms:
-                s = 1.0 - lami - lamj.conjugate()
-                p = mi + mj + (n + 2.0) / 2.0
-                lo = 2 * (mi + mj)
-                log_mag = half_gammas[lo : lo + n_terms] - p * math.log(abs(s)) + log_weight
-                phase = -p * cmath.phase(s)
-                total += 0.5 * ci * cj.conjugate() * np.exp(log_mag + 1j * phase)
+    total = _pairwise_moments(radial_terms(symbol), n_terms, n * math.log(x) - gammaln(n + 1.0))
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("A-series terms overflowed")
     return total.real

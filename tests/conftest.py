@@ -2,10 +2,20 @@
 
 Prints one summary line per acceptance criterion so a run of the suite shows
 the acceptance status at a glance, independent of the surrounding verbosity.
+
+Registers the hypothesis profile ``ci`` (derandomized, no deadline), loaded
+when ``HYPOTHESIS_PROFILE=ci`` is set, so that property tests run the same
+examples on every CI run and slow runners cannot fail them on time.
 """
 from __future__ import annotations
 
+import os
 import re
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _ACCEPTANCE = re.compile(r"test_acceptance\.py.*::test_criterion_(\d+)")
 

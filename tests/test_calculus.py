@@ -8,6 +8,7 @@ the non-radial branch is cross-checked against the coherent-state ratio.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,18 +19,22 @@ from fock_toeplitz import (
     Combination,
     DivergenceError,
     DomainError,
+    GammaSequence,
     RadialExponential,
     RadialMonomial,
     RadialPowerSeries,
+    audit_worked_example,
     diamond,
     evaluate,
     fit_gaussian_wick,
     gamma_sequence,
     heat_transform,
+    safe_fit_radius,
     toeplitz_matrix,
     wick_from_gamma,
     wick_symbol_numeric,
 )
+from fock_toeplitz.calculus import _series_tail
 
 R2 = RadialMonomial(1)  # the symbol |z|²
 
@@ -141,9 +146,69 @@ class TestWickSeries:
         short = gamma_sequence(RadialExponential(-1.0), 24)
         long = gamma_sequence(RadialExponential(-1.0), 64)
         r = 1.9
-        bound = RadialPowerSeries(short).tail_bound(r)
+        bound = _series_tail(r * r, len(short), math.log(np.max(np.abs(short.values))))
         got = abs(wick_from_gamma(short, r) - wick_from_gamma(long, r))
         assert got <= bound
+
+    @pytest.mark.parametrize(
+        "symbol, n_entries, r",
+        [
+            (RadialMonomial(0), 8, 3.0),  # max|γ| = 1
+            (RadialMonomial(1), 10, 2.0),  # max|γ| = 10
+            (RadialExponential(0.3), 12, 2.5),  # growing geometric
+            (RadialExponential(-1.25), 10, 2.5),  # max|γ| = 1/2.25 < 1
+            (RadialExponential(-9.0), 6, 2.0),  # max|γ| = 0.1: a bound of max|γ| · tail
+        ],
+    )
+    def test_suggested_terms_meet_the_refusing_bound(self, symbol, n_entries, r):
+        g = gamma_sequence(symbol, n_entries)
+        tol = 1e-10
+        with pytest.raises(AccuracyError) as info:
+            wick_from_gamma(g, r, tol=tol)
+        needed = int(re.search(r"~(\d+) terms would suffice", str(info.value)).group(1))
+        log_peak = math.log(float(np.max(np.abs(g.values))))
+        assert _series_tail(r * r, needed, log_peak) <= tol
+        assert _series_tail(r * r, needed // 2, log_peak) > tol
+
+
+def _scalar_eval(series: RadialPowerSeries, r: float) -> complex:
+    """``RadialPowerSeries.eval`` as the scalar loop it was, without the tail check."""
+    x = float(r) * float(r)
+    total = 0j
+    weight = 1.0  # x^n / n!
+    for n, g in enumerate(series.gamma.values):
+        total += g * weight
+        weight *= x / (n + 1.0)
+    return math.exp(-x) * total
+
+
+class TestVectorisedSeries:
+    @staticmethod
+    def _bits(values) -> np.ndarray:
+        return np.array(values, dtype=complex).view(np.uint64)
+
+    def _assert_bit_identical(self, gamma: GammaSequence) -> None:
+        series = RadialPowerSeries(gamma)
+        radii = np.linspace(0.0, safe_fit_radius(gamma), 50)
+        got = [series.eval(float(r)) for r in radii]
+        ref = [_scalar_eval(series, float(r)) for r in radii]
+        assert np.array_equal(self._bits(got), self._bits(ref))
+
+    def test_worked_example_is_bit_identical_to_the_scalar_loop(self):
+        report = audit_worked_example(n_entries=41)
+        self._assert_bit_identical(report.composition.gamma_tau)
+        self._assert_bit_identical(report.gamma_quadrature)
+
+    @pytest.mark.parametrize("rate", [0.25, 0.5, 1.0, 1.25, 2.0 - 0.5j, 0.3 + 1.1j])
+    def test_gaussian_sequences_are_bit_identical_to_the_scalar_loop(self, rate):
+        for n_entries in (12, 48, 64):
+            self._assert_bit_identical(gamma_sequence(RadialExponential(-rate), n_entries))
+
+    def test_empty_sequence_evaluates_to_zero(self):
+        empty = GammaSequence(values=[], abs_err=[], source="empty", tol=1e-12, method="closed")
+        for r in (0.0, 1.5, 40.0):
+            assert RadialPowerSeries(empty).eval(r) == 0
+            assert wick_from_gamma(empty, r) == 0
 
 
 class TestHeatTransform:

@@ -335,6 +335,24 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "classify", "--theta", "3", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            ('{"truncation": "abc"}', ["gamma", "--symbol", R2]),
+            ('{"truncation": null}', ["gamma", "--symbol", R2]),
+            ('{"x_samples": ["a"]}', ["compose", "--phi", R2, "--psi", R2]),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_usage_error(
+        self, capsys, tmp_path, config, command
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config, encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad value in config")
+
     def test_bad_theta_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--theta", "one plus i")
         assert code == 2
@@ -363,6 +381,14 @@ class TestOutputFile:
         assert text.endswith("\n")
         code, stdout_text, _ = run_cli(capsys, "gamma", "--symbol", CONST, "-N", "3")
         assert text == stdout_text
+
+    @pytest.mark.parametrize("target", ["missing/dir/out.json", "."])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, "classify", "--theta", "1+1i", "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write output {str(path)!r}")
 
 
 class TestDeterminism:

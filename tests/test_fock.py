@@ -7,7 +7,9 @@ the angle, both exact for the polynomial integrands used here).
 from __future__ import annotations
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, roots_laguerre
@@ -35,7 +37,8 @@ from fock_toeplitz import (
     toeplitz_matrix,
     wick_symbol_numeric,
 )
-from fock_toeplitz.fock import _monomial_entries, coherent_tail_bound
+from fock_toeplitz.calculus import _series_tail
+from fock_toeplitz.fock import _monomial_entries
 
 BETA = complex(3.0, 4.0) / 5.0
 
@@ -86,6 +89,50 @@ class TestVectors:
             k = coherent_coefficients(v, 10)
             inner = np.sum(f.coeffs * np.conj(k.coeffs))
             np.testing.assert_allclose(inner, eval_fock(f, v), rtol=1e-12)
+
+    def test_empty_and_single_entry_vectors(self):
+        assert coherent_coefficients(2.0, 0).coeffs.shape == (0,)
+        assert coherent_coefficients(2.0, 1).coeffs.tolist() == [1.0]
+        assert eval_fock(FockVector([]), 1.0 + 1.0j) == 0
+        assert eval_fock(FockVector([2.5j]), 3.0) == 2.5j
+
+
+class TestAgainstMpmath:
+    """The vectorised recurrences against 40-digit references: ``c_n`` within
+    ``4(n+1)`` roundings of itself, the point value within 64 roundings of
+    ``Σ |c_n| |z|ⁿ/√n!``."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("a", [0.7 - 0.3j, 3.0 + 2.0j, -5.5j, 12.0])
+    def test_coherent_coefficients(self, a):
+        n_entries = 200
+        got = coherent_coefficients(a, n_entries).coeffs
+        with mpmath.workdps(40):
+            abar = mpmath.mpc(a).conjugate()
+            ref = [abar**n / mpmath.sqrt(mpmath.factorial(n)) for n in range(n_entries)]
+            for n, (g, r) in enumerate(zip(got, ref)):
+                assert abs(mpmath.mpc(g) - r) <= 4 * (n + 1) * self.EPS * abs(r), n
+
+    @pytest.mark.parametrize("z", [0.5 + 0.5j, -2.0 + 1.0j, 4.0j])
+    def test_eval_fock(self, z):
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=120) + 1j * rng.normal(size=120)
+        got = eval_fock(FockVector(coeffs), z)
+        with mpmath.workdps(40):
+            terms = [
+                mpmath.mpc(c) * mpmath.mpc(z) ** n / mpmath.sqrt(mpmath.factorial(n))
+                for n, c in enumerate(coeffs)
+            ]
+            gauge = sum(abs(t) for t in terms)
+            assert abs(mpmath.mpc(got) - sum(terms)) <= 64 * self.EPS * gauge
+
+    def test_ladder_entries_are_square_roots(self):
+        creation, annihilation = ladder_matrices(6)
+        sqrt_n = np.sqrt(np.arange(1.0, 6.0))
+        assert np.array_equal(np.diag(creation.entries, -1), sqrt_n)
+        assert np.array_equal(np.diag(annihilation.entries, 1), sqrt_n)
+        assert np.count_nonzero(creation.entries) == np.count_nonzero(annihilation.entries) == 5
 
 
 class TestToeplitzMatrix:
@@ -218,8 +265,20 @@ class TestWickSymbolNumeric:
     def test_tail_bound_dominates_true_tail(self):
         x = 1.0
         true_tail = sum(x**n / math.factorial(n) for n in range(10, 40))
-        assert coherent_tail_bound(x, 10) >= true_tail
-        assert coherent_tail_bound(0.0, 4) == 0.0
+        # the coherent-state route scales the series bound by e^x
+        assert _series_tail(x, 10, x) >= true_tail
+        assert _series_tail(0.0, 4, 0.0) == 0.0
+
+    @pytest.mark.parametrize("dim, v, z", [(8, 3.0, 3.0), (16, 2.0, 2.5j), (5, 0.9, 1.1)])
+    def test_suggested_dimension_meets_the_refusing_bound(self, dim, v, z):
+        op = toeplitz_matrix(RadialMonomial(0), dim)
+        tol = 1e-10
+        with pytest.raises(AccuracyError) as info:
+            wick_symbol_numeric(op, v, z, tol=tol)
+        needed = int(re.search(r"dimension ~(\d+) would suffice", str(info.value)).group(1))
+        x = abs(v) * abs(z)
+        assert _series_tail(x, needed, x) <= tol
+        assert _series_tail(x, needed // 2, x) > tol
 
 
 class TestNormAndSpectrum:

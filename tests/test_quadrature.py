@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -103,7 +104,10 @@ def _reference_ladder(f, alpha: float, tol: float, max_order: int):
     prev = None
     best = None
     while order <= max_order:
-        value, gauge = build_rule(order, alpha).integrate_with_gauge(f)
+        rule = build_rule(order, alpha)
+        fx = np.asarray(f(rule._live_nodes))
+        value = complex(np.sum(rule._live_weights * fx))
+        gauge = float(np.sum(rule._live_weights.real * np.abs(fx)).real)
         floor = quadrature._FLOOR_FACTOR * quadrature._EPS_LD * gauge
         if prev is not None:
             est = abs(value - prev)
@@ -224,12 +228,11 @@ class TestRuleCache:
             calls.append(u.size)
             return np.exp(LAM_EXAMPLE * u.astype(np.clongdouble))
 
-        value, gauge = rule.integrate_with_gauge(f)
+        value = rule.integrate(f)
         assert calls == [64]
         fx = f(rule.nodes)
         w = rule.unit_weights
         assert value == complex(np.sum(w.astype(np.clongdouble) * fx))
-        assert gauge == float(np.sum(w * np.abs(fx)).real)
 
     def test_zero_weight_nodes_never_reach_the_integrand(self):
         ld = np.longdouble
@@ -239,7 +242,7 @@ class TestRuleCache:
             nodes=np.array([1.0, 2.0], dtype=ld),
             unit_weights=np.array([1.0, 0.0], dtype=ld),
         )
-        assert rule.integrate_with_gauge(lambda u: 1.0 / (u - 2.0)) == (-1.0 + 0.0j, 1.0)
+        assert rule.integrate(lambda u: 1.0 / (u - 2.0)) == -1.0 + 0.0j
 
     def test_worked_example_is_bit_identical_cold_and_warm(self):
         symbol = RadialExponential(LAM_EXAMPLE)
@@ -352,6 +355,25 @@ class TestIntegrateWeighted:
     def test_unreachable_tolerance_is_flagged(self):
         _, err = integrate_weighted(lambda u: np.exp(-u), 0.0, tol=1e-30)
         assert err > 1e-30
+
+    @pytest.mark.parametrize("alpha", [170.0, 170.25, 170.5, 170.6])
+    def test_scale_past_the_libm_gamma_range_agrees_with_mpmath(self, alpha):
+        # the ladder's tol bounds the unit-normalized integral, so the raw
+        # value is held to tol · Γ(α+1)
+        for f, rate in ((np.ones_like, 1), (lambda u: np.exp(-u / 4), mpmath.mpf(5) / 4)):
+            value, _ = integrate_weighted(f, alpha)
+            with mpmath.workdps(40):
+                ref = mpmath.gamma(alpha + 1) / rate ** (alpha + 1)
+                assert abs(value - ref) <= DEFAULT_TOL * mpmath.gamma(alpha + 1)
+
+    @pytest.mark.parametrize("alpha", [170.75, 200.0])
+    def test_float64_overflow_raises(self, alpha):
+        # Γ(α+1) exceeds float64 from α ≈ 170.62 on; longdouble holds it
+        with pytest.raises(NonFiniteResultError, match=f"alpha = {alpha}"):
+            integrate_weighted(lambda u: np.ones_like(u), alpha)
+        weights = build_rule(16, alpha).weights
+        assert np.all(np.isfinite(weights))
+        assert float(np.log(np.sum(weights))) == pytest.approx(math.lgamma(alpha + 1), rel=1e-15)
 
 
 class TestGammaSequence:

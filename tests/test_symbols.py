@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -32,7 +33,7 @@ from fock_toeplitz import (
     symbol_to_json,
     to_polynomial,
 )
-from fock_toeplitz.symbols import describe, radial_profile
+from fock_toeplitz.symbols import _a_series_terms, _pairwise_moments, describe, radial_profile
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 
@@ -246,6 +247,82 @@ class TestQSequence:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteResultError):
                 q_sequence(s, 500)
+
+
+def _mp_moments(terms, n: int, log_weight=0):
+    """``Σ_{i,j} ½ c_i c̄_j Γ(p) s^{−p} e^{log_weight}`` at the working precision,
+    with its gauge ``Σ_{i,j} |·|``."""
+    total, gauge = mpmath.mpc(0), mpmath.mpf(0)
+    for ci, mi, lami in terms:
+        for cj, mj, lamj in terms:
+            s = 1 - mpmath.mpc(lami) - mpmath.mpc(lamj).conjugate()
+            p = mi + mj + mpmath.mpf(n + 2) / 2
+            term = mpmath.mpc(ci) * mpmath.mpc(cj).conjugate() / 2 * mpmath.gamma(p) * s ** (-p)
+            term *= mpmath.exp(log_weight)
+            total += term
+            gauge += abs(term)
+    return total, gauge
+
+
+def _random_terms(rng) -> list[tuple[complex, int, complex]]:
+    """One to three terms ``(c, m, λ)`` with ``Re λ < 1/2``."""
+    return [
+        (
+            complex(rng.normal(), rng.normal()),
+            int(rng.integers(0, 4)),
+            complex(rng.uniform(-2.0, 0.45), rng.uniform(-1.5, 1.5)),
+        )
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+
+
+def _random_symbols(rng):
+    """Sums of monomials and exponentials, so that ``radial_terms`` carries
+    ``(c, m, 0)`` and ``(c, 0, λ)`` terms side by side."""
+    parts = []
+    for c, m, lam in _random_terms(rng):
+        parts.append((c, RadialMonomial(m)))
+        parts.append((c * 1j, RadialExponential(lam)))
+    return Combination(tuple(parts))
+
+
+class TestPairwiseMomentsAgainstMpmath:
+    """One kernel serves ``q_f`` and the A-series terms: each entry lies within
+    ``1e-12`` of the gauge ``Σ_{i,j} |term|`` of its 40-digit reference."""
+
+    def test_random_term_sums(self):
+        rng = np.random.default_rng(11)
+        with mpmath.workdps(40):
+            for _ in range(16):
+                terms = _random_terms(rng)
+                got = _pairwise_moments(terms, 48, 0.0)
+                for n in range(48):
+                    ref, gauge = _mp_moments(terms, n)
+                    assert abs(mpmath.mpc(got[n]) - ref) <= 1e-12 * gauge, (terms, n)
+
+    def test_q_sequence(self):
+        rng = np.random.default_rng(12)
+        with mpmath.workdps(40):
+            for _ in range(4):
+                symbol = _random_symbols(rng)
+                terms = radial_terms(symbol)
+                q = q_sequence(symbol, 40)
+                for n in range(40):
+                    ref, gauge = _mp_moments(terms, n)
+                    assert abs(q[n] - max(ref.real, 0)) <= 1e-12 * gauge, (symbol, n)
+
+    @pytest.mark.parametrize("x", [0.3, 2.0, 9.0])
+    def test_a_series_terms(self, x):
+        rng = np.random.default_rng(13)
+        with mpmath.workdps(40):
+            for _ in range(3):
+                symbol = _random_symbols(rng)
+                terms = radial_terms(symbol)
+                got = _a_series_terms(symbol, x, 64)
+                for n in range(64):
+                    log_weight = n * mpmath.log(x) - mpmath.loggamma(n + 1)
+                    ref, gauge = _mp_moments(terms, n, log_weight)
+                    assert abs(got[n] - ref.real) <= 1e-12 * gauge, (symbol, x, n)
 
 
 class TestASeries:
