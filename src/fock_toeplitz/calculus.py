@@ -91,9 +91,10 @@ class RadialPowerSeries:
         bound = _series_tail(x, len(values), log_peak)
         if bound > tol:
             needed = _terms_needed(lambda n: _series_tail(x, n, log_peak), len(values), tol)
+            hint = _TOO_MANY_TERMS if needed is None else f"~{needed} terms would suffice"
             raise AccuracyError(
                 f"series tail {bound:.3e} exceeds tol {tol:.3e} at r={r} with "
-                f"{len(values)} terms; ~{needed} terms would suffice"
+                f"{len(values)} terms; {hint}"
             )
         # each accumulate runs in the order of the scalar recurrence for x^n/n!
         # and its running sum from 0j, so the value matches it bit for bit
@@ -112,12 +113,16 @@ def _series_tail(x: float, n: int, log_scale: float) -> float:
     return math.exp(log_bound) if log_bound < 700.0 else math.inf
 
 
-def _terms_needed(bound, n: int, tol: float) -> int:
-    """The first doubling of ``n`` whose tail ``bound(n)`` meets ``tol``, capped at 100 000."""
+_TOO_MANY_TERMS = "more than 100000 terms are needed"
+
+
+def _terms_needed(bound, n: int, tol: float) -> int | None:
+    """The first doubling of ``n`` whose tail ``bound(n)`` meets ``tol``, or None when
+    the first doubling past 100 000 still fails it (a nan radius fails every bound)."""
     n = max(n, 1)
     while n < 100_000 and bound(n) > tol:
         n *= 2
-    return n
+    return n if bound(n) <= tol else None
 
 
 def wick_from_gamma(gamma: GammaSequence, r: float, tol: float = 1e-10) -> complex:

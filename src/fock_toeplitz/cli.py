@@ -47,8 +47,6 @@ class RunConfig:
     fmt: str = "json"
     output: str | None = None
     x_samples: tuple[float, ...] = composition.DEFAULT_X_SAMPLES
-    tol_explicit: bool = False
-    truncation_explicit: bool = False
 
     def __post_init__(self) -> None:
         if self.truncation < 2:
@@ -150,26 +148,50 @@ def _load_symbol(spec_text: str) -> symbols.Symbol:
 
 
 def _parse_x_samples(text: str) -> tuple[float, ...]:
+    """``--x-samples`` value; argparse turns the error into a usage error (exit 2)."""
     try:
         values = tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise UsageError(f"bad x-samples list {text!r}; expected comma-separated numbers") from exc
+        raise argparse.ArgumentTypeError(
+            f"bad x-samples list {text!r}; expected comma-separated numbers"
+        ) from exc
     if not values:
-        raise UsageError("x-samples list is empty")
+        raise argparse.ArgumentTypeError("x-samples list is empty")
     return values
 
 
-_CONFIG_KEYS = {"truncation", "tol", "format", "output", "x_samples"}
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _float_list(value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(float(x) for x in value)
+
+
+# config key -> (RunConfig field, conversion of the JSON value).  Each field
+# is also the argparse dest of its flag, whose value argparse has converted.
+_CONFIG_FIELDS = {
+    "truncation": ("truncation", int),
+    "tol": ("tol", float),
+    "format": ("fmt", str),
+    "output": ("output", _string),
+    "x_samples": ("x_samples", _float_list),
+}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, environment, config file, and flags (in rising priority)."""
-    cfg = RunConfig()
+    """Merge the command's base config, environment, config file, and flags
+    (in rising priority)."""
+    cfg = args.base
 
     env_tol = os.environ.get(ENV_TOL)
     if env_tol is not None:
         try:
-            cfg = replace(cfg, tol=float(env_tol), tol_explicit=True)
+            cfg = replace(cfg, tol=float(env_tol))
         except ValueError as exc:
             raise UsageError(f"bad {ENV_TOL} value {env_tol!r}") from exc
 
@@ -181,36 +203,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - set(_CONFIG_FIELDS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         try:
-            if "truncation" in raw:
-                cfg = replace(cfg, truncation=int(raw["truncation"]), truncation_explicit=True)
-            if "tol" in raw:
-                cfg = replace(cfg, tol=float(raw["tol"]), tol_explicit=True)
-            if "format" in raw:
-                cfg = replace(cfg, fmt=str(raw["format"]))
-            if "output" in raw:
-                cfg = replace(cfg, output=raw["output"])
-            if "x_samples" in raw:
-                if not isinstance(raw["x_samples"], list):
-                    raise UsageError("config x_samples must be a list of numbers")
-                cfg = replace(cfg, x_samples=tuple(float(x) for x in raw["x_samples"]))
+            values = {
+                field: convert(raw[key])
+                for key, (field, convert) in _CONFIG_FIELDS.items()
+                if key in raw
+            }
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"bad value in config {args.config!r}: {exc}") from exc
+        cfg = replace(cfg, **values)
 
-    if args.truncation is not None:
-        cfg = replace(cfg, truncation=args.truncation, truncation_explicit=True)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol, tol_explicit=True)
-    if args.fmt is not None:
-        cfg = replace(cfg, fmt=args.fmt)
-    if args.output is not None:
-        cfg = replace(cfg, output=args.output)
-    if getattr(args, "x_samples", None) is not None:
-        cfg = replace(cfg, x_samples=_parse_x_samples(args.x_samples))
-    return cfg
+    flags = {field: getattr(args, field, None) for field, _convert in _CONFIG_FIELDS.values()}
+    return replace(cfg, **{field: v for field, v in flags.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_gamma(args, cfg: RunConfig) -> str:
     symbol = _load_symbol(args.symbol)
-    seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol, method=args.method)
+    method = "closed" if args.method == "auto" else args.method  # auto spells closed
+    seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol, method=method)
     if cfg.fmt == "csv":
         rows = [
             [n, float(v.real), float(v.imag), float(e)]
@@ -256,7 +264,6 @@ def _cmd_compose(args, cfg: RunConfig) -> str:
     report = composition.compose_radial(
         phi, psi, n_entries=cfg.truncation, x_samples=cfg.x_samples, tol=cfg.tol
     )
-    _require_json(cfg, "compose")
     return render_json(report.to_json())
 
 
@@ -264,7 +271,6 @@ def _cmd_diamond(args, cfg: RunConfig) -> str:
     phi = _load_symbol(args.phi)
     psi = _load_symbol(args.psi)
     result = calculus.diamond(phi, psi)
-    _require_json(cfg, "diamond")
     return render_json(
         {
             "phi": symbols.symbol_to_json(phi),
@@ -300,7 +306,6 @@ def _cmd_wick(args, cfg: RunConfig) -> str:
 def _cmd_heat(args, cfg: RunConfig) -> str:
     symbol = _load_symbol(args.symbol)
     result = calculus.heat_transform(symbol, args.t)
-    _require_json(cfg, "heat")
     return render_json(
         {
             "t": args.t,
@@ -314,7 +319,6 @@ def _cmd_spectrum(args, cfg: RunConfig) -> str:
     symbol = _load_symbol(args.symbol)
     seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
     prefix = fock.spectrum_radial(seq)
-    _require_json(cfg, "spectrum")
     return render_json(
         {
             "symbol": symbols.symbol_to_json(symbol),
@@ -326,22 +330,17 @@ def _cmd_spectrum(args, cfg: RunConfig) -> str:
 
 def _cmd_classify(args, cfg: RunConfig) -> str:
     theta = parse_complex(args.theta)
-    tol = cfg.tol if cfg.tol_explicit else 1e-9
-    verdict = composition.classify_obstruction(theta, tol=tol)
-    _require_json(cfg, "classify")
+    verdict = composition.classify_obstruction(theta, tol=cfg.tol)
     return render_json(verdict.to_json())
 
 
 def _cmd_verify_example(args, cfg: RunConfig) -> str:
-    n = cfg.truncation if cfg.truncation_explicit else 40
-    report = composition.audit_worked_example(n_entries=n, tol=min(cfg.tol, 1e-12))
-    _require_json(cfg, "verify-paper-example")
+    report = composition.audit_worked_example(cfg.truncation, tol=min(cfg.tol, 1e-12))
     return render_json(report.to_json())
 
 
-def _require_json(cfg: RunConfig, command: str) -> None:
-    if cfg.fmt != "json":
-        raise UsageError(f"command {command!r} only supports --format json")
+# every other command emits a structured report and refuses --format csv
+_CSV_COMMANDS = {"gamma", "matrix", "wick"}
 
 
 # ---------------------------------------------------------------------------
@@ -383,53 +382,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", parents=[common], help="gamma sequence of a radial symbol")
+    def command(name: str, run, summary: str, base: RunConfig = RunConfig()):
+        """A subcommand whose settings start from ``base`` (see resolve_config)."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run, base=base)
+        return p
+
+    p = command("gamma", _cmd_gamma, "gamma sequence of a radial symbol")
     p.add_argument("--symbol", required=True, help="symbol JSON (inline or @file)")
     p.add_argument(
-        "--method", choices=["auto", "closed", "quadrature"], default="auto",
-        help="computation path",
+        "--method", choices=["auto", "closed", "quadrature"], default="closed",
+        help="computation path (auto is closed)",
     )
-    p.set_defaults(run=_cmd_gamma)
 
-    p = sub.add_parser("matrix", parents=[common], help="truncated Toeplitz matrix")
+    p = command("matrix", _cmd_matrix, "truncated Toeplitz matrix")
     p.add_argument("--symbol", required=True)
-    p.set_defaults(run=_cmd_matrix)
 
-    p = sub.add_parser("compose", parents=[common], help="composition report for T_phi T_psi")
+    p = command("compose", _cmd_compose, "composition report for T_phi T_psi")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
-    p.add_argument("--x-samples", dest="x_samples", default=None, help="comma-separated x values")
-    p.set_defaults(run=_cmd_compose)
+    p.add_argument("--x-samples", type=_parse_x_samples, help="comma-separated x values")
 
-    p = sub.add_parser("diamond", parents=[common], help="diamond product of polynomial symbols")
+    p = command("diamond", _cmd_diamond, "diamond product of polynomial symbols")
     p.add_argument("--phi", required=True)
     p.add_argument("--psi", required=True)
-    p.set_defaults(run=_cmd_diamond)
 
-    p = sub.add_parser("wick", parents=[common], help="Wick symbol of T_symbol on a radius grid")
+    p = command("wick", _cmd_wick, "Wick symbol of T_symbol on a radius grid")
     p.add_argument("--symbol", required=True)
     p.add_argument("--r-max", dest="r_max", type=float, default=2.0)
     p.add_argument("--points", type=int, default=25)
-    p.set_defaults(run=_cmd_wick)
 
-    p = sub.add_parser("heat", parents=[common], help="heat transform H_t of a symbol")
+    p = command("heat", _cmd_heat, "heat transform H_t of a symbol")
     p.add_argument("--symbol", required=True)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(run=_cmd_heat)
 
-    p = sub.add_parser("spectrum", parents=[common], help="prefix spectrum of a radial operator")
+    p = command("spectrum", _cmd_spectrum, "prefix spectrum of a radial operator")
     p.add_argument("--symbol", required=True)
-    p.set_defaults(run=_cmd_spectrum)
 
-    p = sub.add_parser("classify", parents=[common], help="obstruction classification of theta")
-    p.add_argument("--theta", required=True, help="complex scalar, e.g. 1.28+0.96i")
-    p.set_defaults(run=_cmd_classify)
-
-    p = sub.add_parser(
-        "verify-paper-example", parents=[common],
-        help="run the built-in worked example end to end",
+    p = command(
+        "classify", _cmd_classify, "obstruction classification of theta", RunConfig(tol=1e-9)
     )
-    p.set_defaults(run=_cmd_verify_example)
+    p.add_argument("--theta", required=True, help="complex scalar, e.g. 1.28+0.96i")
+
+    # its tolerance is further capped at 1e-12 (_cmd_verify_example)
+    command(
+        "verify-paper-example", _cmd_verify_example,
+        "run the built-in worked example end to end", RunConfig(truncation=40),
+    )
     return parser
 
 
@@ -438,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = resolve_config(args)
+        # refused before any symbol is parsed or anything is computed
+        if cfg.fmt != "json" and args.command not in _CSV_COMMANDS:
+            raise UsageError(f"command {args.command!r} only supports --format json")
         text = args.run(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ from .symbols import (
     describe,
     is_radial,
     membership,
-    q_sequence,
     symbol_to_json,
 )
 
@@ -257,16 +256,12 @@ def audit_hypotheses(
     hyp2 = _boundedness(product)
 
     member = membership(phi, SymbolClass.L2_INF_WEIGHTED).member
-    if member:
-        q = q_sequence(phi, n_entries)
-        q_finite = bool(np.all(np.isfinite(q)))
-        converged = tuple((float(x), _a_series_settles(phi, float(x))) for x in x_samples)
-    else:
-        q_finite = False
-        converged = tuple((float(x), False) for x in x_samples)
+    converged = tuple(
+        (float(x), member and _a_series_settles(phi, float(x))) for x in x_samples
+    )
     hyp3 = SquareClassVerdict(
-        member=member and q_finite and all(c for _x, c in converged),
-        q_finite=q_finite,
+        member=member and all(c for _x, c in converged),
+        q_finite=member,  # weighted-L² membership makes every q(n) finite
         a_converged=converged,
         note="A-series convergence checked at the sampled x values only",
     )
@@ -423,9 +418,11 @@ def compose_radial(
             f"on radii up to {fit_radius:.3g}"
         )
 
-    both_polynomial = _is_polynomial_radial(phi) and _is_polynomial_radial(psi)
-    if both_polynomial:
+    try:
         tau = diamond(phi, psi)
+    except DomainError:
+        pass  # a factor with exponential content has no polynomial form
+    else:
         gamma_diamond = gamma_sequence(tau, n_entries, tol=tol)
         deviation = float(np.max(np.abs(gamma_diamond.values - report.gamma_tau.values)))
         notes.append(
@@ -437,16 +434,6 @@ def compose_radial(
         report, reconstructed_tau=recon.symbol, obstruction=obstruction,
         notes=tuple(notes), fit=fit,
     )
-
-
-def _is_polynomial_radial(symbol: Symbol) -> bool:
-    if isinstance(symbol, RadialMonomial):
-        return True
-    if isinstance(symbol, RadialExponential):
-        return False
-    if isinstance(symbol, Combination):
-        return all(_is_polynomial_radial(s) for _w, s in symbol.terms)
-    return is_radial(symbol)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import gammaln
-from .calculus import _series_tail, _terms_needed
+from .calculus import _TOO_MANY_TERMS, _series_tail, _terms_needed
 from .errors import AccuracyError, DomainError
 from .quadrature import DEFAULT_TOL, GammaSequence, gamma_sequence
 from .symbols import Symbol, is_radial, to_polynomial
@@ -164,9 +164,10 @@ def wick_symbol_numeric(
     bound = _series_tail(x, A.dim, x)
     if bound > tol:
         needed = _terms_needed(lambda n: _series_tail(x, n, x), A.dim, tol)
+        hint = _TOO_MANY_TERMS if needed is None else f"dimension ~{needed} would suffice"
         raise AccuracyError(
             f"coherent-state tail {bound:.3e} exceeds tol {tol:.3e} at truncation "
-            f"{A.dim}; dimension ~{needed} would suffice"
+            f"{A.dim}; {hint}"
         )
     numerator = eval_fock(A.apply(coherent_coefficients(v, A.dim)), z)
     denominator = cmath.exp(z * v.conjugate())

@@ -459,16 +459,15 @@ def gamma_sequence(
     symbol: Symbol,
     n_entries: int,
     tol: float = DEFAULT_TOL,
-    method: str = "auto",
+    method: str = "closed",
     max_order: int = MAX_ORDER,
 ) -> GammaSequence:
     """γ_a(n) for ``n < n_entries`` with per-entry error estimates.
 
     ``method`` selects the computation path: ``"closed"`` uses the
-    term-by-term closed forms, ``"quadrature"`` forces generalized
-    Gauss–Laguerre with weight exponent ``α = n`` for each ``n``, and
-    ``"auto"`` prefers the closed forms, which exist for the whole
-    representable family.  The quadrature path runs the order ladders of
+    term-by-term closed forms, which exist for the whole representable
+    family, and ``"quadrature"`` forces generalized Gauss–Laguerre with
+    weight exponent ``α = n`` for each ``n``.  The quadrature path runs the order ladders of
     every ``n`` in lockstep: each rung builds its missing rules in one batch
     into the per-process cache of :func:`build_rule` (so a later sequence
     over the same ``n`` builds no rule again) and evaluates the profile once
@@ -485,12 +484,12 @@ def gamma_sequence(
         raise DivergenceError(
             "gamma integrals diverge: symbol is outside the weighted L1 class"
         )
-    if method not in ("auto", "closed", "quadrature"):
+    if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
 
     closed = _gamma_closed(radial_terms(symbol), n_entries)
     closed_end = _first_overflow(closed)
-    if method in ("auto", "closed"):
+    if method == "closed":
         if closed_end < n_entries:
             raise _overflow_error("closed-form", closed_end)
         abs_err = 16.0 * np.finfo(float).eps * np.abs(closed)

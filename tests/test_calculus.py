@@ -171,6 +171,18 @@ class TestWickSeries:
         assert _series_tail(r * r, needed // 2, log_peak) > tol
 
 
+    @pytest.mark.parametrize("r", [5000.0, float("nan")])
+    def test_hint_past_the_doubling_cap_names_no_count(self, r):
+        # the doubling stops at 131072 terms, whose tail bound at r = 5000 is
+        # still inf; a nan radius meets no bound at all
+        g = gamma_sequence(RadialMonomial(0), 8)
+        assert _series_tail(r * r, 131072, 0.0) == math.inf
+        with pytest.raises(AccuracyError) as info:
+            wick_from_gamma(g, r)
+        assert str(info.value).endswith("; more than 100000 terms are needed")
+        assert "would suffice" not in str(info.value)
+
+
 def _scalar_eval(series: RadialPowerSeries, r: float) -> complex:
     """``RadialPowerSeries.eval`` as the scalar loop it was, without the tail check."""
     x = float(r) * float(r)

@@ -2,6 +2,7 @@
 precedence, exit codes, and byte-level determinism."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from fock_toeplitz import NonFiniteResultError, cli
+from fock_toeplitz import DomainError, NonFiniteResultError, cli, composition
 from fock_toeplitz.cli import ENV_TOL, main, parse_complex, render_json
 
 CONST = '{"kind": "radial_monomial", "m": 0}'
@@ -59,6 +60,14 @@ class TestGammaCommand:
         assert payload["method"] == "quadrature"
         mods = [abs(complex(e["gamma"]["re"], e["gamma"]["im"])) for e in payload["entries"]]
         np.testing.assert_allclose(mods, np.ones(8), rtol=1e-10)
+
+    def test_auto_method_prints_the_closed_bytes(self, capsys):
+        outputs = [
+            run_cli(capsys, "gamma", "--symbol", EXAMPLE, "-N", "9", "--method", method)
+            for method in ("auto", "closed")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--symbol", CONST, "-N", "3", "--format", "csv")
@@ -179,6 +188,107 @@ class TestClassifyCommand:
         assert json.loads(out)["case"] == "Case2"
 
 
+def resolved(*argv: str) -> cli.RunConfig:
+    return cli.resolve_config(cli.build_parser().parse_args(list(argv)))
+
+
+class TestPerCommandDefaults:
+    def test_run_config_has_five_settings(self):
+        names = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert names == ["truncation", "tol", "fmt", "output", "x_samples"]
+
+    def test_classify_defaults_to_a_wider_tolerance(self, monkeypatch):
+        monkeypatch.delenv(ENV_TOL, raising=False)
+        assert resolved("classify", "--theta", "3").tol == 1e-9
+        assert resolved("gamma", "--symbol", R2).tol == 1e-10
+
+    def test_every_source_overrides_the_classify_default(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": 1e-4}', encoding="utf-8")
+        monkeypatch.setenv(ENV_TOL, "1e-3")
+        assert resolved("classify", "--theta", "3").tol == 1e-3
+        assert resolved("classify", "--theta", "3", "--config", str(cfg)).tol == 1e-4
+        flagged = resolved("classify", "--theta", "3", "--config", str(cfg), "--tol", "1e-5")
+        assert flagged.tol == 1e-5
+
+    def test_classify_default_decides_the_circle_band(self, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_TOL, raising=False)
+        # |θ|² − 2 Re θ = 5e-10 for θ = 1.5 + i·sqrt(0.75 + 5e-10): inside 1e-9
+        theta = f"1.5+{(0.75 + 5e-10) ** 0.5!r}i"
+        _, out, _ = run_cli(capsys, "classify", "--theta", theta)
+        assert json.loads(out)["case"] == "Case1"
+        _, out, _ = run_cli(capsys, "classify", "--theta", theta, "--tol", "1e-10")
+        assert json.loads(out)["case"] == "Case2"
+
+    def test_verify_example_defaults_to_forty_entries(self):
+        assert resolved("verify-paper-example").truncation == 40
+        assert resolved("compose", "--phi", R2, "--psi", R2).truncation == 64
+
+    def test_config_truncation_overrides_the_verify_default(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"truncation": 12}', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "verify-paper-example", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["n_entries"] == 12
+        code, out, _ = run_cli(
+            capsys, "verify-paper-example", "--config", str(cfg), "-N", "13"
+        )
+        assert json.loads(out)["n_entries"] == 13
+
+    @pytest.mark.parametrize(
+        "extra, expected", [((), 1e-12), (("--tol", "1e-3"), 1e-12), (("--tol", "1e-14"), 1e-14)]
+    )
+    def test_verify_example_tolerance_is_capped(self, capsys, monkeypatch, extra, expected):
+        seen = {}
+
+        def audit(n_entries, tol):
+            seen.update(n_entries=n_entries, tol=tol)
+            raise DomainError("stop after recording the call")
+
+        monkeypatch.delenv(ENV_TOL, raising=False)
+        monkeypatch.setattr(composition, "audit_worked_example", audit)
+        assert run_cli(capsys, "verify-paper-example", *extra)[0] == 4
+        assert seen == {"n_entries": 40, "tol": expected}
+
+
+class TestJsonOnlyRefusal:
+    @pytest.fixture(autouse=True)
+    def no_computation(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before refusing --format csv")
+
+        for name in ("audit_worked_example", "compose_radial", "classify_obstruction"):
+            monkeypatch.setattr(composition, name, fail)
+        for name in ("diamond", "heat_transform"):
+            monkeypatch.setattr(cli.calculus, name, fail)
+        monkeypatch.setattr(cli.fock, "spectrum_radial", fail)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-paper-example"],
+            ["compose", "--phi", NON_RADIAL, "--psi", CONST],
+            ["compose", "--phi", "{not json", "--psi", CONST],
+            ["diamond", "--phi", EXAMPLE, "--psi", R2],
+            ["heat", "--symbol", "{not json", "--t", "1"],
+            ["spectrum", "--symbol", NON_RADIAL],
+            ["classify", "--theta", "not a number"],
+        ],
+    )
+    def test_csv_is_refused_before_anything_is_computed(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: command {argv[0]!r} only supports --format json\n"
+
+    def test_csv_from_a_config_file_is_refused_too(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"format": "csv"}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify-paper-example", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "only supports --format json" in err
+
+
 class TestComposeCommand:
     def test_report_shape_and_x_samples(self, capsys):
         code, out, _ = run_cli(
@@ -293,6 +403,13 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "heat", "--symbol", divergent, "--t", "1.0")
         assert code == 4
 
+    def test_wick_radius_past_the_doubling_cap_names_no_count(self, capsys):
+        code, out, err = run_cli(
+            capsys, "wick", "--symbol", CONST, "-N", "8", "--r-max", "5000", "--points", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err.rstrip().endswith("; more than 100000 terms are needed")
+
     def test_unreachable_wick_radius_is_accuracy_error(self, capsys):
         code, _, err = run_cli(
             capsys, "wick", "--symbol", CONST, "-N", "8", "--r-max", "3.0"
@@ -341,6 +458,10 @@ class TestExitCodes:
             ('{"truncation": "abc"}', ["gamma", "--symbol", R2]),
             ('{"truncation": null}', ["gamma", "--symbol", R2]),
             ('{"x_samples": ["a"]}', ["compose", "--phi", R2, "--psi", R2]),
+            ('{"x_samples": 0.5}', ["compose", "--phi", R2, "--psi", R2]),
+            ('{"output": 1}', ["classify", "--theta", "3"]),
+            ('{"output": 5}', ["classify", "--theta", "3"]),
+            ('{"output": true}', ["classify", "--theta", "3"]),
         ],
     )
     def test_config_value_of_the_wrong_type_is_usage_error(
@@ -356,6 +477,13 @@ class TestExitCodes:
     def test_bad_theta_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--theta", "one plus i")
         assert code == 2
+
+    @pytest.mark.parametrize("samples", ["a,1", ","])
+    def test_bad_x_samples_flag_exits_two(self, capsys, samples):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compose", "--phi", R2, "--psi", R2, "--x-samples", samples])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -111,6 +111,20 @@ class TestHypothesisAudit:
         )
         assert [x for x, _ok in report.hyp3_phi_square_class.a_converged] == [0.5]
 
+    def test_long_prefix_of_a_growing_exponential_reports(self):
+        # q(n) of e^{0.45 r²} overflows float64 before n = 700, yet every
+        # q(n) is finite: membership alone decides q_finite
+        report = audit_hypotheses(RadialExponential(0.45), RadialMonomial(0), n_entries=700)
+        assert report.hyp3_phi_square_class.q_finite
+        assert len(report.gamma_tau) == 700
+
+    def test_q_finite_follows_membership(self):
+        outside = RadialExponential(0.6)  # in weighted L1, not in weighted L2
+        report = audit_hypotheses(outside, RadialMonomial(0), n_entries=8)
+        verdict = report.hyp3_phi_square_class
+        assert not verdict.member and not verdict.q_finite
+        assert not any(ok for _x, ok in verdict.a_converged)
+
     def test_non_radial_factor_is_rejected(self):
         with pytest.raises(DomainError):
             audit_hypotheses(BivariatePolynomial({(1, 0): 1.0}), RadialMonomial(0))
@@ -135,6 +149,32 @@ class TestComposeRadial:
         g_tau = gamma_sequence(tau, 48)
         np.testing.assert_allclose(g_tau.values, report.gamma_tau.values, rtol=1e-9)
         assert any("diamond" in note for note in report.notes)
+
+    @pytest.mark.parametrize(
+        "phi, psi",
+        [
+            (R2, R2),
+            (RadialMonomial(0), RadialMonomial(2)),
+            (BivariatePolynomial({(1, 1): 2.0, (0, 0): 1.0}), R2),
+            (Combination(((1.0, R2), (0.5, RadialMonomial(0)))), R2),
+        ],
+    )
+    def test_diamond_cross_check_for_polynomial_pairs(self, phi, psi):
+        report = compose_radial(phi, psi, n_entries=12)
+        assert sum("diamond cross-check" in note for note in report.notes) == 1
+
+    @pytest.mark.parametrize(
+        "phi, psi",
+        [
+            (RadialExponential(0), R2),  # e^{0·r²} = 1, but written as an exponential
+            (R2, RadialExponential(0)),
+            (RadialExponential(-1.0), RadialExponential(-0.5)),
+            (Combination(((1.0, R2), (1.0, RadialExponential(-1.0)))), R2),
+        ],
+    )
+    def test_no_diamond_cross_check_with_exponential_content(self, phi, psi):
+        report = compose_radial(phi, psi, n_entries=12)
+        assert not any("diamond" in note for note in report.notes)
 
     def test_matrix_product_matches_gamma_product(self):
         for phi, psi in [(R2, RadialExponential(-1.0)), (RadialMonomial(2), R2)]:

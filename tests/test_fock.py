@@ -281,6 +281,15 @@ class TestWickSymbolNumeric:
         assert _series_tail(x, needed // 2, x) > tol
 
 
+    @pytest.mark.parametrize("v, z", [(5000.0, 5000.0), (float("nan"), 1.0)])
+    def test_hint_past_the_doubling_cap_names_no_count(self, v, z):
+        op = toeplitz_matrix(RadialMonomial(0), 8)
+        with pytest.raises(AccuracyError) as info:
+            wick_symbol_numeric(op, v, z)
+        assert str(info.value).endswith("; more than 100000 terms are needed")
+        assert "would suffice" not in str(info.value)
+
+
 class TestNormAndSpectrum:
     def test_norm_of_identity(self):
         assert norm_estimate(toeplitz_matrix(RadialMonomial(0), 12)) == pytest.approx(1.0)

@@ -387,6 +387,11 @@ class TestGammaSequence:
         assert g.method == "closed"
         assert g.unreliable == ()
 
+    @pytest.mark.parametrize("method", ["auto", "mystery"])
+    def test_only_closed_and_quadrature_are_methods(self, method):
+        with pytest.raises(DomainError, match="unknown gamma method"):
+            gamma_sequence(RadialMonomial(1), 4, method=method)
+
     def test_degree_one_monomial_both_methods(self):
         expected = np.arange(1, 13, dtype=float)
         closed = gamma_sequence(RadialMonomial(1), 12, method="closed")
