@@ -12,6 +12,7 @@ operation's domain, including divergent integrals).
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import math
@@ -51,8 +52,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.truncation < 2:
             raise UsageError(f"truncation must be >= 2, got {self.truncation}")
-        if not (self.tol > 0):
-            raise UsageError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise UsageError(f"tol must be positive and finite, got {self.tol}")
+        if not all(math.isfinite(x) for x in self.x_samples):
+            raise UsageError(f"x-samples must be finite, got {list(self.x_samples)}")
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.fmt!r}")
 
@@ -124,9 +127,12 @@ def parse_complex(text: str) -> complex:
     """Parse ``a+bi`` (or plain ``a``, ``bi``); spaces are tolerated."""
     compact = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(compact)
+        value = complex(compact)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex scalar {text!r}; expected forms like 1.28+0.96i") from exc
+    if not cmath.isfinite(value):
+        raise UsageError(f"complex scalar {text!r} is not finite")
+    return value
 
 
 def _load_symbol(spec_text: str) -> symbols.Symbol:
@@ -286,6 +292,8 @@ def _cmd_wick(args, cfg: RunConfig) -> str:
             f"--points must be between 0 and MAX_WICK_POINTS = {MAX_WICK_POINTS}, "
             f"got {args.points}"
         )
+    if not math.isfinite(args.r_max):
+        raise UsageError(f"--r-max must be finite, got {args.r_max}")
     symbol = _load_symbol(args.symbol)
     seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
     radii = np.linspace(0.0, args.r_max, args.points)

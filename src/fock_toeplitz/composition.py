@@ -299,6 +299,12 @@ def _recognize_geometric(values: np.ndarray) -> tuple[complex, float] | None:
     return beta, residual
 
 
+def _rising_basis(n_entries: int, degree: int) -> np.ndarray:
+    """Columns ``(n+1)_m`` for ``m ≤ degree``, rows ``n < n_entries``."""
+    n = np.arange(n_entries, dtype=float)
+    return np.column_stack([poch(n + 1.0, m) for m in range(degree + 1)])
+
+
 def _recognize_polynomial(
     values: np.ndarray, tol: float, max_degree: int = 8
 ) -> tuple[np.ndarray, float] | None:
@@ -308,11 +314,9 @@ def _recognize_polynomial(
     degree and keeps the smallest degree whose residual over the whole
     prefix is below ``tol``.
     """
-    n_all = np.arange(len(values), dtype=float)
     scale = max(1.0, float(np.max(np.abs(values))))
-    top = min(max_degree, len(values) - 1)
-    full_basis = np.column_stack([poch(n_all + 1.0, m) for m in range(top + 1)])
-    for degree in range(top + 1):
+    full_basis = _rising_basis(len(values), min(max_degree, len(values) - 1))
+    for degree in range(full_basis.shape[1]):
         basis = full_basis[:, : degree + 1]
         head = slice(0, degree + 1)
         try:
@@ -338,12 +342,13 @@ def reconstruct_details(gamma: GammaSequence, tol: float = 1e-8) -> Reconstructi
 
     poly = _recognize_polynomial(values, tol)
     if poly is not None:
-        coeffs, residual = poly
-        keep = [
-            (complex(c), m)
-            for m, c in enumerate(coeffs)
-            if abs(c) > tol * max(1.0, float(np.max(np.abs(coeffs))))
-        ]
+        # d_m is kept where its term moves the fit by more than tol; each
+        # column (n+1)_m peaks at the last n.  The residual is the pruned fit's.
+        basis = _rising_basis(len(values), len(poly[0]) - 1)
+        scale = max(1.0, float(np.max(np.abs(values))))
+        coeffs = np.where(np.abs(poly[0]) * basis[-1] > tol * scale, poly[0], 0.0)
+        residual = float(np.max(np.abs(basis @ coeffs - values))) / scale
+        keep = [(complex(c), m) for m, c in enumerate(coeffs) if c != 0]
         if not keep:
             symbol: Symbol = RadialMonomial(0)
             return ReconstructionResult(symbol, "polynomial", residual, "zero sequence")

@@ -113,9 +113,10 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
 
     Rules are built by the Golub–Welsch scheme, refined in longdouble: the
     double-precision eigenvalues of the Jacobi matrix (recurrence
-    ``a_k = 2k+α+1``, ``b_k = √(k(k+α))``) seed two Newton iterations on the
-    orthonormal-polynomial recurrence carried in ``np.longdouble``; weights
-    are the Christoffel numbers ``1 / Σ_k p_k(x_i)²``.
+    ``a_k = 2k+α+1``, ``b_k = √(k(k+α))``), from ``np.linalg.eigvalsh``, seed
+    one Newton iteration on the orthonormal-polynomial recurrence carried in
+    ``np.longdouble``; weights are the Christoffel numbers
+    ``1 / Σ_k p_k(x_i)²``.
 
     Each rule is built once per process and kept in a bounded LRU cache keyed
     on ``(order, float(alpha))``, so every caller asking for the same rule
@@ -200,66 +201,51 @@ def _build_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
     the IEEE operations a single-rule build would apply, so every rule is
     bit-identical to one built alone.
     """
-    if order == 1:
-        # single node at the first moment of the normalized weight
-        return [
-            _frozen_rule(1, a, np.array([a + 1.0], dtype=_LD), np.array([1.0], dtype=_LD))
-            for a in alphas
-        ]
-
-    # imported here so that callers who never build a rule skip scipy.linalg
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
+    # seeds: the eigenvalues of each dense Jacobi matrix, one at a time, so
+    # at most one order x order matrix is alive (2 MB at order 512)
     k = np.arange(order, dtype=float)
     seeds = []
     for alpha in alphas:
-        diag = 2.0 * k + alpha + 1.0
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
+        # eigvalsh reads the lower triangle only
+        jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1)
         try:
-            seeds.append(eigh_tridiagonal(diag, off)[0])
-        except LinAlgError as exc:
+            seeds.append(np.linalg.eigvalsh(jacobi))
+        except np.linalg.LinAlgError as exc:
             raise RuleConstructionError(
                 f"eigen-solver failed for order={order}, alpha={alpha}"
             ) from exc
 
-    # recurrence coefficients, one column per step j: a[j] and b[j] have
-    # shape (len(alphas), 1) and broadcast along each row of nodes
+    # recurrence coefficients, one column per step j: a[j], b_prev[j] and
+    # b_next[j] have shape (len(alphas), 1) and broadcast along each row of
+    # nodes.  b_prev[0] = 0 and b_next[-1] = 1 are exact no-ops, so the first
+    # and the last step take the same form as the others.
     col = np.array(alphas, dtype=_LD)[:, None]
     a = (2.0 * np.arange(order, dtype=_LD) + col + 1.0).T[:, :, None]
     kk = np.arange(1, order, dtype=_LD)
-    b = np.sqrt(kk * (kk + col)).T[:, :, None]
+    b = np.sqrt(kk * (kk + col))
+    b_prev = np.hstack([np.zeros_like(col), b]).T[:, :, None]
+    b_next = np.hstack([b, np.ones_like(col)]).T[:, :, None]
 
+    # one Newton pass on the recurrence's last polynomial
     x = np.array(seeds).astype(_LD)
-    for _ in range(2):
-        p_prev = np.zeros_like(x)
-        p = np.ones_like(x)
-        dp_prev = np.zeros_like(x)
-        dp = np.zeros_like(x)
-        for j in range(order):
-            shift = x - a[j]
-            if j == 0:
-                p_next = shift * p / b[0]
-                dp_next = (p + shift * dp) / b[0]
-            elif j < order - 1:
-                p_next = (shift * p - b[j - 1] * p_prev) / b[j]
-                dp_next = (p + shift * dp - b[j - 1] * dp_prev) / b[j]
-            else:
-                # last step needs no division: only the root matters
-                p_next = shift * p - b[j - 1] * p_prev
-                dp_next = p + shift * dp - b[j - 1] * dp_prev
-            p_prev, p = p, p_next
-            dp_prev, dp = dp, dp_next
-        x = x - p / dp
+    p_prev = np.zeros_like(x)
+    p = np.ones_like(x)
+    dp_prev = np.zeros_like(x)
+    dp = np.zeros_like(x)
+    for j in range(order):
+        shift = x - a[j]
+        p_next = (shift * p - b_prev[j] * p_prev) / b_next[j]
+        dp_next = (p + shift * dp - b_prev[j] * dp_prev) / b_next[j]
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    x = x - p / dp
 
     # Christoffel weights from the orthonormal recurrence at the final nodes
     kernel = np.ones_like(x)
     p_prev = np.zeros_like(x)
     p = np.ones_like(x)
     for j in range(order - 1):
-        if j == 0:
-            p_next = (x - a[0]) * p / b[0]
-        else:
-            p_next = ((x - a[j]) * p - b[j - 1] * p_prev) / b[j]
+        p_next = ((x - a[j]) * p - b_prev[j] * p_prev) / b_next[j]
         p_prev, p = p, p_next
         kernel += p * p
     unit_weights = 1.0 / kernel

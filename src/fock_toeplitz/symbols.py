@@ -379,9 +379,9 @@ def _a_series_terms(symbol: Symbol, x: float, n_terms: int) -> np.ndarray:
 
 
 def a_series(symbol: Symbol, x: float, n_terms: int = 64, tol: float = 1e-10) -> ASeriesResult:
-    """Evaluate the series ``A_f`` at ``x ≥ 0`` with a ratio-test verdict."""
-    if x < 0:
-        raise DomainError(f"A-series is defined for x >= 0, got {x}")
+    """Evaluate the series ``A_f`` at finite ``x ≥ 0`` with a ratio-test verdict."""
+    if not 0 <= x < math.inf:
+        raise DomainError(f"A-series is defined for finite x >= 0, got {x}")
     if n_terms < 1:
         raise DomainError("need at least one term")
     if not is_radial(symbol):

@@ -474,6 +474,54 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: bad value in config")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--theta", "3", "--tol", "inf"],
+            ["classify", "--theta", "3", "--tol", "1e400"],
+            ["classify", "--theta", "3", "--tol", "nan"],
+            ["classify", "--theta=nan"],
+            ["classify", "--theta=1e400"],
+            ["classify", "--theta=1+nani"],
+            ["compose", "--phi", R2, "--psi", R2, "--x-samples", "inf"],
+            ["compose", "--phi", R2, "--psi", R2, "--x-samples", "0.5,nan"],
+            ["wick", "--symbol", R2, "--r-max", "inf"],
+            ["wick", "--symbol", R2, "--r-max", "nan"],
+        ],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_env_tol_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(ENV_TOL, value)
+        code, out, err = run_cli(capsys, "classify", "--theta", "3")
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            ('{"tol": 1e400}', ["classify", "--theta", "3"]),
+            ('{"tol": NaN}', ["classify", "--theta", "3"]),
+            ('{"x_samples": [0.5, 1e400]}', ["compose", "--phi", R2, "--psi", R2]),
+            ('{"x_samples": [-Infinity]}', ["compose", "--phi", R2, "--psi", R2]),
+        ],
+    )
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path, config, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config, encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("text", ["nan", "1e400", "-1e400i", "nan+1i"])
+    def test_non_finite_complex_scalar_is_refused(self, text):
+        with pytest.raises(cli.UsageError, match="not finite"):
+            parse_complex(text)
+
     def test_bad_theta_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "--theta", "one plus i")
         assert code == 2

@@ -302,6 +302,17 @@ class TestReconstruction:
                 gamma_sequence(back, 24).values, g.values, rtol=1e-9, atol=1e-9
             )
 
+    def test_pruning_follows_the_basis_growth(self):
+        # β_φβ_ψ ≈ 1: coefficients of order 1e-10 on (n+1)_3 ~ 2e5 still move
+        # the sequence, so they are kept and the residual is the returned fit's
+        phi = RadialExponential(0.0499 + 0.312j)
+        psi = RadialExponential(0.0496 - 0.311j)
+        gamma_tau = compose_radial(phi, psi, 58).gamma_tau
+        details = reconstruct_details(gamma_tau)
+        assert details.family == "polynomial" and details.residual < 1e-8
+        miss = np.max(np.abs(gamma_sequence(details.symbol, 58).values - gamma_tau.values))
+        assert miss == pytest.approx(details.residual, rel=1e-6)
+
     def test_unrecognized_sequence_returns_the_prefix_verdict(self):
         n = np.arange(24)
         values = np.exp(1j * np.sqrt(n + 1.0)) / (n + 1.0) ** 0.25

@@ -360,6 +360,13 @@ class TestASeries:
             with pytest.raises(NonFiniteResultError):
                 a_series(s, 1e3, n_terms=500)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x_is_a_domain_error_without_runtime_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                a_series(RadialExponential(LAM_EXAMPLE), x)
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
