@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._special import poch
 from .calculus import GaussianWickFit, diamond, fit_gaussian_wick, safe_fit_radius
 from .errors import AccuracyError, DomainError
-from .quadrature import DEFAULT_TOL, GammaSequence, gamma_sequence
+from .quadrature import DEFAULT_TOL, GammaSequence, _rising, gamma_sequence
 from .symbols import (
+    BivariatePolynomial,
     Combination,
     RadialExponential,
     RadialMonomial,
@@ -302,17 +302,20 @@ def _recognize_geometric(values: np.ndarray) -> tuple[complex, float] | None:
 def _rising_basis(n_entries: int, degree: int) -> np.ndarray:
     """Columns ``(n+1)_m`` for ``m ≤ degree``, rows ``n < n_entries``."""
     n = np.arange(n_entries, dtype=float)
-    return np.column_stack([poch(n + 1.0, m) for m in range(degree + 1)])
+    return np.column_stack([_rising(n + 1.0, m) for m in range(degree + 1)])
 
 
 def _recognize_polynomial(
     values: np.ndarray, tol: float, max_degree: int = 8
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[np.ndarray, float, np.ndarray, float] | None:
     """Fit ``γ(n) = Σ_m d_m (n+1)(n+2)…(n+m)`` (rising-factorial basis).
 
     Solves the square system on the first ``d+1`` entries for each candidate
     degree and keeps the smallest degree whose residual over the whole
-    prefix is below ``tol``.
+    prefix is below ``tol``.  Returns that fit's coefficients and residual,
+    then the pruned coefficients and their residual: ``d_m`` is kept where
+    its term moves the fit by more than ``tol``, and each column ``(n+1)_m``
+    peaks at the last n.
     """
     scale = max(1.0, float(np.max(np.abs(values))))
     full_basis = _rising_basis(len(values), min(max_degree, len(values) - 1))
@@ -325,7 +328,9 @@ def _recognize_polynomial(
             continue
         residual = float(np.max(np.abs(basis @ coeffs - values))) / scale
         if residual < tol:
-            return coeffs, residual
+            kept = np.where(np.abs(coeffs) * basis[-1] > tol * scale, coeffs, 0.0)
+            kept_residual = float(np.max(np.abs(basis @ kept - values))) / scale
+            return coeffs, residual, kept, kept_residual
     return None
 
 
@@ -342,15 +347,10 @@ def reconstruct_details(gamma: GammaSequence, tol: float = 1e-8) -> Reconstructi
 
     poly = _recognize_polynomial(values, tol)
     if poly is not None:
-        # d_m is kept where its term moves the fit by more than tol; each
-        # column (n+1)_m peaks at the last n.  The residual is the pruned fit's.
-        basis = _rising_basis(len(values), len(poly[0]) - 1)
-        scale = max(1.0, float(np.max(np.abs(values))))
-        coeffs = np.where(np.abs(poly[0]) * basis[-1] > tol * scale, poly[0], 0.0)
-        residual = float(np.max(np.abs(basis @ coeffs - values))) / scale
+        _, _, coeffs, residual = poly
         keep = [(complex(c), m) for m, c in enumerate(coeffs) if c != 0]
         if not keep:
-            symbol: Symbol = RadialMonomial(0)
+            symbol: Symbol = BivariatePolynomial({})
             return ReconstructionResult(symbol, "polynomial", residual, "zero sequence")
         if len(keep) == 1 and abs(keep[0][0] - 1.0) <= 1e-10:
             symbol = RadialMonomial(keep[0][1])

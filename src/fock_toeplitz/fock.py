@@ -12,14 +12,12 @@ of basis vectors and composition is plain matrix multiplication.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import gammaln
 from .calculus import _TOO_MANY_TERMS, _series_tail, _terms_needed
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, NonFiniteResultError
 from .quadrature import DEFAULT_TOL, GammaSequence, gamma_sequence
 from .symbols import Symbol, is_radial, to_polynomial
 
@@ -97,14 +95,22 @@ def eval_fock(f: FockVector, z: complex) -> complex:
 
 
 def _monomial_entries(j: int, k: int, n_dim: int) -> np.ndarray:
-    """Matrix of ``T_{z^j z̄^k}``: entry ``(n+j−k, n) = (n+j)!/√(n!(n+j−k)!)``."""
+    """Matrix of ``T_{z^j z̄^k}``: entry ``(m, n) = (n+j)!/√(n! m!)`` with ``m = n+j−k``.
+
+    Since ``n+j = m+k``, the entry is ``∏_{i≤j} √(n+i) · ∏_{i≤k} √(m+i)``.
+    Every factor is at least 1, so no partial product exceeds the entry, and
+    an entry overflows to ``inf`` only where its value does, without a warning.
+    """
     out = np.zeros((n_dim, n_dim), dtype=complex)
     n = np.arange(max(0, k - j), min(n_dim, n_dim + k - j))
     m = n + j - k
-    log_factorial = gammaln(np.arange(n_dim + j) + 1.0)  # log i! at index i
-    log_val = log_factorial[n + j] - 0.5 * log_factorial[n] - 0.5 * log_factorial[m]
-    # libm exp, not np.exp, whose vectorised form may differ in the last bit
-    out[m, n] = np.fromiter(map(math.exp, log_val.tolist()), dtype=float, count=n.size)
+    entry = np.ones(n.size)
+    with np.errstate(over="ignore"):
+        for i in range(1, j + 1):
+            entry *= np.sqrt(n + i)
+        for i in range(1, k + 1):
+            entry *= np.sqrt(m + i)
+    out[m, n] = entry
     return out
 
 
@@ -112,8 +118,8 @@ def toeplitz_matrix(symbol: Symbol, n_dim: int, tol: float = DEFAULT_TOL) -> Tru
     """Truncated Toeplitz operator ``T_φ`` in the monomial basis.
 
     Radial symbols give the diagonal of their γ-sequence; polynomial symbols
-    assemble from the banded monomial matrices by linearity.  Factorial
-    ratios are evaluated in log space throughout.
+    assemble from the banded monomial matrices by linearity.  An entry that
+    overflows float64 raises :class:`NonFiniteResultError` naming its term.
     """
     if n_dim < 1:
         raise DomainError("truncation dimension must be >= 1")
@@ -122,8 +128,13 @@ def toeplitz_matrix(symbol: Symbol, n_dim: int, tol: float = DEFAULT_TOL) -> Tru
         return TruncatedOperator(dim=n_dim, entries=np.diag(gamma.values))
     poly = to_polynomial(symbol)  # DomainError for non-polynomial, non-radial shapes
     entries = np.zeros((n_dim, n_dim), dtype=complex)
-    for (j, k), c in poly.coefficients.items():
-        entries += c * _monomial_entries(j, k, n_dim)
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        for (j, k), c in poly.coefficients.items():
+            entries += c * _monomial_entries(j, k, n_dim)
+            if not np.isfinite(entries).all():
+                raise NonFiniteResultError(
+                    f"matrix entries overflow float64 at the term z^{j}*zbar^{k}"
+                )
     return TruncatedOperator(dim=n_dim, entries=entries)
 
 

@@ -30,11 +30,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._special import gammaln, poch
 from .errors import DivergenceError, DomainError, NonFiniteResultError, RuleConstructionError
 from .symbols import (
     Symbol,
     SymbolClass,
+    _log_gamma,
     complex_to_json,
     describe,
     is_radial,
@@ -408,6 +408,18 @@ class GammaSequence:
         }
 
 
+def _rising(a: np.ndarray, m: int) -> np.ndarray:
+    """Rising factorial ``(a)_m = a(a+1)…(a+m−1)``, multiplied as ``(a+m−1)…a``.
+
+    An overflowing product comes back as ``inf``, without a warning.
+    """
+    r = a + (m - 1) if m else np.ones_like(a)
+    with np.errstate(over="ignore"):
+        for j in range(m - 2, -1, -1):
+            r *= a + j
+    return r
+
+
 def _gamma_closed(terms, n_entries: int) -> np.ndarray:
     """Closed-form γ for a sum of terms ``c · r^{2m} e^{λr²}``.
 
@@ -420,10 +432,10 @@ def _gamma_closed(terms, n_entries: int) -> np.ndarray:
     with np.errstate(all="ignore"):  # overflow is reported below, not warned
         for c, m, lam in terms:
             if lam == 0:
-                out += c * poch(n + 1.0, m)
+                out += c * _rising(n + 1.0, m)
             else:
                 power = n + m + 1.0
-                log_term = gammaln(n + m + 1.0) - gammaln(n + 1.0) - power * np.log(
+                log_term = _log_gamma(n + m + 1.0) - _log_gamma(n + 1.0) - power * np.log(
                     complex(1.0 - lam)
                 )
                 out += c * np.exp(log_term)

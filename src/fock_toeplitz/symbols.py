@@ -21,7 +21,6 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from ._special import gammaln
 from .errors import DivergenceError, DomainError, NonFiniteResultError
 
 __all__ = [
@@ -300,6 +299,11 @@ def membership(symbol: Symbol, space: SymbolClass) -> MembershipVerdict:
 # q-sequence and A-series
 
 
+def _log_gamma(x: np.ndarray) -> np.ndarray:
+    """``log Γ`` of each entry of a float array by libm ``lgamma``."""
+    return np.fromiter(map(math.lgamma, x.tolist()), dtype=float, count=x.size)
+
+
 def _pairwise_moments(terms, n_entries: int, log_weight) -> np.ndarray:
     """``Σ_{i,j} ½ c_i c̄_j Γ(p) s^{−p} · e^{log_weight}`` for ``n < n_entries``,
     with ``p = m_i + m_j + (n+2)/2`` and ``s = 1 − λ_i − λ̄_j``.
@@ -311,7 +315,7 @@ def _pairwise_moments(terms, n_entries: int, log_weight) -> np.ndarray:
     """
     n = np.arange(n_entries, dtype=float)
     m_top = max((m for _, m, _ in terms), default=0)
-    half_gammas = gammaln((np.arange(n_entries + 4 * m_top) + 2.0) / 2.0)
+    half_gammas = _log_gamma((np.arange(n_entries + 4 * m_top) + 2.0) / 2.0)
     total = np.zeros(n_entries, dtype=complex)
     with np.errstate(all="ignore"):
         for ci, mi, lami in terms:
@@ -372,7 +376,7 @@ def _a_series_terms(symbol: Symbol, x: float, n_terms: int) -> np.ndarray:
     are combined before exponentiating.
     """
     n = np.arange(n_terms, dtype=float)
-    total = _pairwise_moments(radial_terms(symbol), n_terms, n * math.log(x) - gammaln(n + 1.0))
+    total = _pairwise_moments(radial_terms(symbol), n_terms, n * math.log(x) - _log_gamma(n + 1.0))
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("A-series terms overflowed")
     return total.real

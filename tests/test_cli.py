@@ -110,6 +110,16 @@ class TestMatrixCommand:
         assert out == ""
         assert f"MAX_DENSE_TRUNCATION = {cli.MAX_DENSE_TRUNCATION}" in err
 
+    def test_overflowing_entries_are_accuracy_error(self):
+        symbol = '{"kind": "poly", "terms": [{"j": 300, "k": 0, "c": {"re": 1, "im": 0}}]}'
+        command = [sys.executable, "-m", "fock_toeplitz.cli", "matrix", "-N", "1024"]
+        proc = subprocess.run([*command, "--symbol", symbol], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        # the message names the term, and no RuntimeWarning reaches stderr
+        assert proc.stderr == (
+            "accuracy error: matrix entries overflow float64 at the term z^300*zbar^0\n"
+        )
+
     def test_dense_limit_is_inclusive(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_DENSE_TRUNCATION", 6)
         assert run_cli(capsys, "matrix", "--symbol", R2, "-N", "6")[0] == 0

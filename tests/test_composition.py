@@ -313,6 +313,18 @@ class TestReconstruction:
         miss = np.max(np.abs(gamma_sequence(details.symbol, 58).values - gamma_tau.values))
         assert miss == pytest.approx(details.residual, rel=1e-6)
 
+    def test_zero_sequence_is_the_zero_symbol(self):
+        g = GammaSequence(
+            values=np.zeros(10, dtype=complex),
+            abs_err=np.zeros(10),
+            source="synthetic",
+            tol=1e-12,
+            method="closed",
+        )
+        details = reconstruct_details(g)
+        assert details.note == "zero sequence"
+        assert not np.any(gamma_sequence(details.symbol, 10).values)
+
     def test_unrecognized_sequence_returns_the_prefix_verdict(self):
         n = np.arange(24)
         values = np.exp(1j * np.sqrt(n + 1.0)) / (n + 1.0) ** 0.25

@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln, roots_laguerre
+from scipy.special import roots_laguerre
 
 from fock_toeplitz import (
     AccuracyError,
     BivariatePolynomial,
     DomainError,
     FockVector,
+    NonFiniteResultError,
     RadialExponential,
     RadialMonomial,
     coherent_coefficients,
@@ -137,17 +139,47 @@ class TestAgainstMpmath:
 
 class TestToeplitzMatrix:
     @pytest.mark.parametrize(
-        "j,k,n_dim", [(0, 0, 5), (2, 1, 40), (1, 3, 40), (4, 4, 300), (3, 0, 2), (0, 9, 5)]
+        "j,k,n_dim",
+        [
+            (0, 0, 5), (2, 1, 40), (1, 3, 40), (4, 4, 300), (3, 0, 2), (0, 9, 5),
+            (8, 3, 1024), (40, 35, 100),
+        ],
     )
-    def test_banded_entries_match_the_scalar_loop_bit_for_bit(self, j, k, n_dim):
-        expected = np.zeros((n_dim, n_dim), dtype=complex)
-        for n in range(n_dim):
-            m = n + j - k
-            if 0 <= m < n_dim:
-                log_val = gammaln(n + j + 1.0) - 0.5 * gammaln(n + 1.0) - 0.5 * gammaln(m + 1.0)
-                expected[m, n] = math.exp(log_val)
+    def test_banded_entries_match_exact_factorial_ratios(self, j, k, n_dim):
         actual = _monomial_entries(j, k, n_dim)
-        assert actual.tobytes() == expected.tobytes()
+        bound = 4 * (j + k + 2) * np.finfo(float).eps
+        band = np.zeros((n_dim, n_dim), dtype=bool)
+        with mpmath.workdps(40):
+            for n in range(n_dim):
+                m = n + j - k
+                if 0 <= m < n_dim:
+                    band[m, n] = True
+                    exact = mpmath.factorial(n + j) / mpmath.sqrt(
+                        mpmath.factorial(n) * mpmath.factorial(m)
+                    )
+                    assert actual[m, n].imag == 0.0
+                    assert abs(actual[m, n].real / exact - 1) <= bound, (m, n)
+        assert not actual[~band].any()
+
+    def test_banded_entries_overflow_only_where_the_ratio_does(self):
+        # entry (300, 0) is √300! ≈ 1.75e307; entry (301, 1) is √301! > DBL_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = _monomial_entries(300, 0, 302)
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(mpmath.factorial(300))
+            assert abs(entries[300, 0].real / exact - 1) <= 4 * 302 * np.finfo(float).eps
+        assert entries[301, 1] == np.inf
+
+    @pytest.mark.parametrize(
+        "coefficients, term",
+        [({(300, 0): 1.0}, "z^300*zbar^0"), ({(1, 0): 1.0, (3, 2): 1e302j}, "z^3*zbar^2")],
+    )
+    def test_overflowing_entries_raise_naming_the_term(self, coefficients, term):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match=re.escape(term)):
+                toeplitz_matrix(BivariatePolynomial(coefficients), 1024)
 
     def test_constant_symbol_is_identity(self):
         op = toeplitz_matrix(RadialMonomial(0), 6)
