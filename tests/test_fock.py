@@ -181,6 +181,14 @@ class TestToeplitzMatrix:
             with pytest.raises(NonFiniteResultError, match=re.escape(term)):
                 toeplitz_matrix(BivariatePolynomial(coefficients), 1024)
 
+    @pytest.mark.parametrize("j,k", [(1, 0), (2, 1), (8, 3), (40, 35)])
+    def test_swapped_powers_give_the_transpose(self, j, k):
+        # T_{z^k z̄^j} = (T_{z^j z̄^k})^*; the two products differ only in order
+        forward = _monomial_entries(j, k, 200)
+        swapped = _monomial_entries(k, j, 200)
+        bound = 2 * (j + k + 2) * np.finfo(float).eps
+        np.testing.assert_allclose(swapped, forward.T, rtol=bound, atol=0)
+
     def test_constant_symbol_is_identity(self):
         op = toeplitz_matrix(RadialMonomial(0), 6)
         np.testing.assert_allclose(op.entries, np.eye(6), atol=1e-14)

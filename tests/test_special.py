@@ -9,6 +9,7 @@ against another floating-point implementation.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -33,6 +34,27 @@ class TestLogGamma:
     def test_integers_and_half_integers_up_to_2000(self):
         assert_log_gamma_within_4_ulp(np.arange(2, 4001) / 2.0)
 
+    def test_every_integer_up_to_300000(self):
+        assert_log_gamma_within_4_ulp(np.arange(1, 300_001, dtype=float))
+
+    def test_every_half_integer_up_to_20000(self):
+        assert_log_gamma_within_4_ulp(np.arange(1, 20_000, dtype=float) + 0.5)
+
+    @pytest.mark.parametrize(
+        "x", [1.0, 1.5, 2.0, 2.5, 3.0, 12.5, 13.0, 13.5, 999.5, 1000.0, 1000.5]
+    )
+    def test_scattered_arguments(self, x):
+        assert_log_gamma_within_4_ulp(np.array([x]))
+
+    @pytest.mark.parametrize(
+        "x", [1e5 + 0.5, 1.5e5, 1e6 + 0.5, 1e8, 1e8 + 1, 3.5e9, 2.0**53, 1e300, 2e305]
+    )
+    def test_large_arguments(self, x):
+        assert_log_gamma_within_4_ulp(np.array([x, 7.5]))
+
+    def test_empty_array(self):
+        assert _log_gamma(np.empty(0)).shape == (0,)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=2, max_value=600_000), min_size=1, max_size=40))
     def test_random_integers_and_half_integers_up_to_300000(self, halves):
@@ -51,6 +73,19 @@ class TestRising:
             # m − 1 correctly rounded products of exact integers; every float
             # this large is an integer, so the comparison is exact
             assert abs(int(r) - exact) <= m * np.finfo(float).eps * exact, (ai, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=2, max_value=400_000), min_size=1, max_size=20),
+        st.integers(min_value=0, max_value=20),
+    )
+    def test_random_half_integers_match_exact_fractions(self, halves, m):
+        got = _rising(np.array(halves, dtype=float) / 2.0, m)
+        for h, r in zip(halves, got.tolist()):
+            exact = Fraction(1)
+            for i in range(m):
+                exact *= Fraction(h, 2) + i
+            assert abs(Fraction(r) - exact) <= m * np.finfo(float).eps * exact, (h, m)
 
     def test_empty_product_and_overflow(self):
         assert _rising(np.array([4.0]), 3).tolist() == [120.0]
