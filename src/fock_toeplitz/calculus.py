@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DivergenceError, DomainError
+from .errors import AccuracyError, DivergenceError, DomainError, NonFiniteResultError
 from .quadrature import GammaSequence
 from .symbols import (
     BivariatePolynomial,
@@ -47,23 +47,29 @@ def diamond(phi: Symbol, psi: Symbol) -> BivariatePolynomial:
     Both factors must be polynomial (radial monomials convert via
     ``r^{2m} = z^m z̄^m``); the sum terminates at ``k = deg_z φ`` and all
     coefficient arithmetic is exact products of integers and inputs.
+    :class:`NonFiniteResultError` names the term of ``φ`` whose derivatives
+    leave float64 (``1/k!`` does from ``k = 171`` on).
     """
     p = to_polynomial(phi)
     q = to_polynomial(psi)
     max_k = max((j for j, _k in p.coefficients), default=0)
     out: dict[tuple[int, int], complex] = {}
     for k_order in range(max_k + 1):
-        sign_over_fact = (-1.0) ** k_order / math.factorial(k_order)
         for (pj, pk), pc in p.coefficients.items():
             if pj < k_order:
                 continue
-            dz_coeff = pc * math.perm(pj, k_order)  # j!/(j−k)!
-            for (qj, qk), qc in q.coefficients.items():
-                if qk < k_order:
-                    continue
-                dzbar_coeff = qc * math.perm(qk, k_order)
-                key = (pj - k_order + qj, pk + qk - k_order)
-                out[key] = out.get(key, 0j) + sign_over_fact * dz_coeff * dzbar_coeff
+            try:
+                # (−1)ᵏ/k! · ∂_z^k of the term: j!/(j−k)!
+                dz = (-1.0) ** k_order / math.factorial(k_order) * (pc * math.perm(pj, k_order))
+                for (qj, qk), qc in q.coefficients.items():
+                    if qk < k_order:
+                        continue
+                    key = (pj - k_order + qj, pk + qk - k_order)
+                    out[key] = out.get(key, 0j) + dz * (qc * math.perm(qk, k_order))
+            except OverflowError as exc:
+                raise NonFiniteResultError(
+                    f"diamond product overflows float64 at the term z^{pj}*zbar^{pk} of phi"
+                ) from exc
     return BivariatePolynomial(out)
 
 
@@ -152,10 +158,13 @@ def heat_transform(symbol: Symbol, t: float) -> Symbol:
     if isinstance(symbol, BivariatePolynomial):
         out: dict[tuple[int, int], complex] = {}
         for (j, k), c in symbol.coefficients.items():
-            for i in range(min(j, k) + 1):
-                w = c * math.comb(j, i) * math.comb(k, i) * math.factorial(i) * t**i
-                key = (j - i, k - i)
-                out[key] = out.get(key, 0j) + w
+            try:
+                for i in range(min(j, k) + 1):
+                    w = c * math.comb(j, i) * math.comb(k, i) * math.factorial(i) * t**i
+                    key = (j - i, k - i)
+                    out[key] = out.get(key, 0j) + w
+            except OverflowError as exc:
+                raise _heat_overflow(f"z^{j}*zbar^{k}", t) from exc
         return BivariatePolynomial(out)
     if isinstance(symbol, RadialExponential):
         lam = symbol.lam
@@ -166,10 +175,16 @@ def heat_transform(symbol: Symbol, t: float) -> Symbol:
         scale = 1.0 / (1.0 - t * lam)
         if lam == 0:
             return RadialExponential(0j)
+        if scale == 0 or not (cmath.isfinite(scale) and cmath.isfinite(lam * scale)):
+            raise _heat_overflow(f"exp({lam}*r^2)", t)  # 1 − tλ or λ/(1 − tλ) did
         return Combination(((scale, RadialExponential(lam * scale)),))
     if isinstance(symbol, Combination):
         return Combination(tuple((w, heat_transform(s, t)) for w, s in symbol.terms))
     raise DomainError(f"heat transform not defined for {symbol!r}")
+
+
+def _heat_overflow(term: str, t: float) -> NonFiniteResultError:
+    return NonFiniteResultError(f"heat transform at t={t:g} overflows float64 at the term {term}")
 
 
 # ---------------------------------------------------------------------------

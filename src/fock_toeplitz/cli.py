@@ -144,13 +144,13 @@ def _load_symbol(spec_text: str) -> symbols.Symbol:
         except OSError as exc:
             raise UsageError(f"cannot read symbol file {spec_text[1:]!r}: {exc}") from exc
     try:
-        obj = json.loads(spec_text)
+        return symbols.symbol_from_json(json.loads(spec_text))
     except json.JSONDecodeError as exc:
         raise UsageError(f"symbol is not valid JSON: {exc}") from exc
-    try:
-        return symbols.symbol_from_json(obj)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except RecursionError as exc:
+        raise UsageError("symbol JSON is nested too deeply") from exc
 
 
 def _parse_x_samples(text: str) -> tuple[float, ...]:

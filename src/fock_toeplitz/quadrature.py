@@ -30,17 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NonFiniteResultError, RuleConstructionError
+from .errors import DomainError, NonFiniteResultError, RuleConstructionError
 from .symbols import (
     Symbol,
     SymbolClass,
-    _log_gamma,
+    _radial_in,
     complex_to_json,
     describe,
-    is_radial,
-    membership,
     radial_profile,
-    radial_terms,
 )
 
 __all__ = [
@@ -411,34 +408,32 @@ class GammaSequence:
 def _rising(a: np.ndarray, m: int) -> np.ndarray:
     """Rising factorial ``(a)_m = a(a+1)…(a+m−1)``, multiplied as ``(a+m−1)…a``.
 
-    An overflowing product comes back as ``inf``, without a warning.
+    An overflowing product comes back as ``inf``, without a warning.  Every
+    64 factors the loop stops if each entry is ``inf`` with a positive ``a``,
+    which no later factor can change.
     """
     r = a + (m - 1) if m else np.ones_like(a)
     with np.errstate(over="ignore"):
         for j in range(m - 2, -1, -1):
             r *= a + j
+            if j % 64 == 63 and np.all(np.isinf(r) & (a > 0)):
+                break
     return r
 
 
 def _gamma_closed(terms, n_entries: int) -> np.ndarray:
     """Closed-form γ for a sum of terms ``c · r^{2m} e^{λr²}``.
 
-    Each term contributes ``c · Γ(n+m+1)/n! · (1−λ)^{−(n+m+1)}``; the ``λ=0``
-    case reduces to the rising factorial ``(n+1)_m`` and is computed exactly.
+    Each term contributes ``c · (n+1)_m · exp(−(n+m+1)·log(1−λ))``.  No
+    symbol has a term with both ``m > 0`` and ``λ ≠ 0``, so each term is
+    either the rising factorial (the power is exactly 1) or a pure power.
     Entries that overflow float64 come back non-finite, without a warning.
     """
     n = np.arange(n_entries, dtype=float)
     out = np.zeros(n_entries, dtype=complex)
     with np.errstate(all="ignore"):  # overflow is reported below, not warned
         for c, m, lam in terms:
-            if lam == 0:
-                out += c * _rising(n + 1.0, m)
-            else:
-                power = n + m + 1.0
-                log_term = _log_gamma(n + m + 1.0) - _log_gamma(n + 1.0) - power * np.log(
-                    complex(1.0 - lam)
-                )
-                out += c * np.exp(log_term)
+            out += c * _rising(n + 1.0, m) * np.exp(-(n + m + 1.0) * np.log(complex(1.0 - lam)))
     return out
 
 
@@ -476,16 +471,11 @@ def gamma_sequence(
     """
     if n_entries < 1:
         raise DomainError("need at least one gamma entry")
-    if not is_radial(symbol):
-        raise DomainError("gamma sequence requires a radial symbol")
-    if not membership(symbol, SymbolClass.L1_INF_WEIGHTED).member:
-        raise DivergenceError(
-            "gamma integrals diverge: symbol is outside the weighted L1 class"
-        )
+    terms = _radial_in(symbol, SymbolClass.L1_INF_WEIGHTED, "gamma integrals")
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
 
-    closed = _gamma_closed(radial_terms(symbol), n_entries)
+    closed = _gamma_closed(terms, n_entries)
     closed_end = _first_overflow(closed)
     if method == "closed":
         if closed_end < n_entries:

@@ -125,44 +125,43 @@ class Combination:
 Symbol = Union[RadialMonomial, RadialExponential, BivariatePolynomial, Combination]
 
 
+def _terms(symbol: Symbol):
+    """Each term ``c · z^j z̄^k e^{λ|z|²}`` as ``(c, j, k, λ)``, with ``λ = None``
+    for polynomial terms (so ``e^{0·r²}`` stays an exponential); weights are
+    multiplied in and nothing is merged.  The one reader of the four variants."""
+    if isinstance(symbol, Combination):
+        for w, s in symbol.terms:
+            for c, j, k, lam in _terms(s):
+                yield w * c, j, k, lam
+    elif isinstance(symbol, BivariatePolynomial):
+        for (j, k), c in symbol.coefficients.items():
+            yield c, j, k, None
+    elif isinstance(symbol, RadialMonomial):
+        yield 1.0 + 0j, symbol.m, symbol.m, None
+    elif isinstance(symbol, RadialExponential):
+        yield 1.0 + 0j, 0, 0, symbol.lam
+    else:
+        raise DomainError(f"not a symbol: {symbol!r}")
+
+
 def is_radial(symbol: Symbol) -> bool:
     """Whether the symbol depends on ``z`` only through ``|z|``."""
-    if isinstance(symbol, (RadialMonomial, RadialExponential)):
-        return True
-    if isinstance(symbol, BivariatePolynomial):
-        return symbol.is_radial()
-    if isinstance(symbol, Combination):
-        return all(is_radial(s) for _, s in symbol.terms)
-    raise DomainError(f"not a symbol: {symbol!r}")
+    return all(j == k for _c, j, k, _lam in _terms(symbol))
 
 
 def radial_terms(symbol: Symbol) -> tuple[tuple[complex, int, complex], ...]:
     """Decompose a radial symbol into terms ``c · r^{2m} e^{λr²}``.
 
-    Returns tuples ``(c, m, λ)`` with like terms merged; terms whose merged
-    coefficient is exactly zero are dropped.  Raises :class:`DomainError`
-    for non-radial symbols.
+    Returns tuples ``(c, m, λ)`` with like terms merged (polynomial terms
+    have ``λ = 0``); terms whose merged coefficient is exactly zero are
+    dropped.  Raises :class:`DomainError` for non-radial symbols.
     """
-    if not is_radial(symbol):
-        raise DomainError("symbol is not radial")
-
-    def collect(sym: Symbol, weight: complex, acc: dict[tuple[int, complex], complex]) -> None:
-        if isinstance(sym, RadialMonomial):
-            key = (sym.m, 0j)
-            acc[key] = acc.get(key, 0j) + weight
-        elif isinstance(sym, RadialExponential):
-            key = (0, sym.lam)
-            acc[key] = acc.get(key, 0j) + weight
-        elif isinstance(sym, BivariatePolynomial):
-            for (j, _k), c in sym.coefficients.items():
-                key = (j, 0j)
-                acc[key] = acc.get(key, 0j) + weight * c
-        else:
-            for w, s in sym.terms:
-                collect(s, weight * w, acc)
-
     acc: dict[tuple[int, complex], complex] = {}
-    collect(symbol, 1.0 + 0j, acc)
+    for c, j, k, lam in _terms(symbol):
+        if j != k:
+            raise DomainError(f"symbol is not radial: it has a term z^{j}*zbar^{k}")
+        key = (j, 0j if lam is None else lam)
+        acc[key] = acc.get(key, 0j) + c
     out = [(c, m, lam) for (m, lam), c in acc.items() if c != 0]
     out.sort(key=lambda t: (t[1], t[2].real, t[2].imag))
     return tuple(out)
@@ -175,15 +174,12 @@ def to_polynomial(symbol: Symbol) -> BivariatePolynomial:
     """
     if isinstance(symbol, BivariatePolynomial):
         return symbol
-    if isinstance(symbol, RadialMonomial):
-        return BivariatePolynomial({(symbol.m, symbol.m): 1.0})
-    if isinstance(symbol, Combination):
-        coeffs: dict[tuple[int, int], complex] = {}
-        for w, s in symbol.terms:
-            for key, c in to_polynomial(s).coefficients.items():
-                coeffs[key] = coeffs.get(key, 0j) + w * c
-        return BivariatePolynomial(coeffs)
-    raise DomainError("exponential symbols have no polynomial form")
+    coeffs: dict[tuple[int, int], complex] = {}
+    for c, j, k, lam in _terms(symbol):
+        if lam is not None:
+            raise DomainError("exponential symbols have no polynomial form")
+        coeffs[(j, k)] = coeffs.get((j, k), 0j) + c
+    return BivariatePolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +187,13 @@ def to_polynomial(symbol: Symbol) -> BivariatePolynomial:
 
 
 def evaluate(symbol: Symbol, z: complex) -> complex:
-    """Evaluate ``φ(z, z̄)``; radial variants go through ``r = |z|``."""
+    """Evaluate ``φ(z, z̄)`` term by term."""
     z = complex(z)
+    zb, r2 = z.conjugate(), z.real * z.real + z.imag * z.imag
     try:
-        if isinstance(symbol, RadialMonomial):
-            value = complex(abs(z) ** (2 * symbol.m))
-        elif isinstance(symbol, RadialExponential):
-            value = cmath.exp(symbol.lam * (z.real * z.real + z.imag * z.imag))
-        elif isinstance(symbol, BivariatePolynomial):
-            zb = z.conjugate()
-            value = sum((c * z**j * zb**k for (j, k), c in symbol.coefficients.items()), 0j)
-        elif isinstance(symbol, Combination):
-            value = sum((w * evaluate(s, z) for w, s in symbol.terms), 0j)
-        else:
-            raise DomainError(f"not a symbol: {symbol!r}")
+        value = 0j
+        for c, j, k, lam in _terms(symbol):
+            value += c * z**j * zb**k * (1.0 if lam is None else cmath.exp(lam * r2))
     except OverflowError as exc:
         raise NonFiniteResultError(f"symbol evaluation overflowed at z={z}") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -255,44 +244,49 @@ class MembershipVerdict:
     witness: str
 
 
-def _growth_rate(symbol: Symbol) -> float:
-    """Largest Re(λ) over the exponential content of the symbol.
+# class -> (bound on the growth rate, the condition as the witness states it)
+_RATE_BOUNDS = {
+    SymbolClass.L1_INF_WEIGHTED: (1.0, "Re(lambda) < 1"),
+    SymbolClass.L2_INF_WEIGHTED: (0.5, "2 Re(lambda) < 1"),
+    SymbolClass.GROWTH_DELTA_HALF: (0.5, "Re(lambda) < 1/2"),
+}
+
+
+def _growth_rate(terms) -> float:
+    """Largest Re(λ) over terms that end in λ (None for a polynomial term).
 
     Polynomial factors do not affect any of the convergence conditions, so
-    the verdicts depend only on this rate.  Radial symbols are merged first
-    so exactly cancelling terms do not inflate the rate.
+    the verdicts depend only on this rate.
     """
-    if is_radial(symbol):
-        terms = radial_terms(symbol)
-        if not terms:
-            return -math.inf
-        return max(lam.real for _c, _m, lam in terms)
-    if isinstance(symbol, BivariatePolynomial):
-        return 0.0 if symbol.coefficients else -math.inf
-    if isinstance(symbol, Combination):
-        return max(_growth_rate(s) for _w, s in symbol.terms)
-    return 0.0
+    return max((0.0 if t[-1] is None else t[-1].real for t in terms), default=-math.inf)
 
 
 def membership(symbol: Symbol, space: SymbolClass) -> MembershipVerdict:
     """Exact class membership from closed-form convergence conditions."""
-    rho = _growth_rate(symbol)
-    if space is SymbolClass.L1_INF_WEIGHTED:
-        member = rho < 1.0
-        cond = "Re(lambda) < 1"
-    elif space is SymbolClass.L2_INF_WEIGHTED:
-        member = 2.0 * rho < 1.0
-        cond = "2 Re(lambda) < 1"
-    elif space is SymbolClass.GROWTH_DELTA_HALF:
-        member = rho < 0.5
-        cond = "Re(lambda) < 1/2"
-    else:
+    # radial terms are merged first, so exactly cancelling ones do not inflate the rate
+    rho = _growth_rate(radial_terms(symbol) if is_radial(symbol) else _terms(symbol))
+    if space not in _RATE_BOUNDS:
         raise DomainError(f"unknown symbol class: {space!r}")
+    bound, cond = _RATE_BOUNDS[space]
     witness = (
         f"exponential growth rate max Re(lambda) = {rho:g}; "
         f"convergence requires {cond}; polynomial factors are immaterial"
     )
-    return MembershipVerdict(space=space, member=member, witness=witness)
+    return MembershipVerdict(space=space, member=rho < bound, witness=witness)
+
+
+def _radial_in(symbol: Symbol, space: SymbolClass, what: str):
+    """The :func:`radial_terms` of a symbol in ``space``; :class:`DivergenceError`
+    says that ``what`` diverge outside it."""
+    terms = radial_terms(symbol)
+    rho = _growth_rate(terms)
+    bound, cond = _RATE_BOUNDS[space]
+    if not rho < bound:
+        raise DivergenceError(
+            f"{what} diverge: max Re(lambda) = {rho:g} is outside the "
+            f"{space.value} class, which requires {cond}"
+        )
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +330,8 @@ def q_sequence(symbol: Symbol, n_entries: int) -> np.ndarray:
     symbol gives integrals ``∫ r^{2M+n+1} e^{−s r²} dr = ½ Γ(M + (n+2)/2)
     s^{−(M+(n+2)/2)}`` with ``s = 1 − λ_i − λ̄_j``, evaluated in log space.
     """
-    if not is_radial(symbol):
-        raise DomainError("q-sequence requires a radial symbol")
-    if not membership(symbol, SymbolClass.L2_INF_WEIGHTED).member:
-        raise DivergenceError(
-            "q-sequence integrals diverge: symbol is outside the weighted L2 class"
-        )
-    total = _pairwise_moments(radial_terms(symbol), n_entries, 0.0)
+    terms = _radial_in(symbol, SymbolClass.L2_INF_WEIGHTED, "q-sequence integrals")
+    total = _pairwise_moments(terms, n_entries, 0.0)
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("q-sequence overflowed; reduce the number of entries")
     return np.maximum(total.real, 0.0)
@@ -368,15 +357,16 @@ _RATIO_WINDOW = 8
 _RATIO_MARGIN = 0.9
 
 
-def _a_series_terms(symbol: Symbol, x: float, n_terms: int) -> np.ndarray:
-    """Terms ``q_f(n) x^n / n!`` computed pairwise in log space.
+def _a_series_terms(terms, x: float, n_terms: int) -> np.ndarray:
+    """Terms ``q_f(n) x^n / n!`` of the :func:`radial_terms` ``terms``, computed
+    pairwise in log space.
 
     ``q_f(n)`` alone overflows double precision near ``n ≈ 300`` while the
     ``x^n/n!`` factor keeps the terms themselves moderate, so the exponents
     are combined before exponentiating.
     """
     n = np.arange(n_terms, dtype=float)
-    total = _pairwise_moments(radial_terms(symbol), n_terms, n * math.log(x) - _log_gamma(n + 1.0))
+    total = _pairwise_moments(terms, n_terms, n * math.log(x) - _log_gamma(n + 1.0))
     if not np.all(np.isfinite(total)):
         raise NonFiniteResultError("A-series terms overflowed")
     return total.real
@@ -388,17 +378,12 @@ def a_series(symbol: Symbol, x: float, n_terms: int = 64, tol: float = 1e-10) ->
         raise DomainError(f"A-series is defined for finite x >= 0, got {x}")
     if n_terms < 1:
         raise DomainError("need at least one term")
-    if not is_radial(symbol):
-        raise DomainError("A-series requires a radial symbol")
-    if not membership(symbol, SymbolClass.L2_INF_WEIGHTED).member:
-        raise DivergenceError(
-            "A-series moments diverge: symbol is outside the weighted L2 class"
-        )
-    if x == 0.0 or not radial_terms(symbol):
+    radial = _radial_in(symbol, SymbolClass.L2_INF_WEIGHTED, "A-series moments")
+    if x == 0.0 or not radial:
         q0 = float(q_sequence(symbol, 1)[0])
         return ASeriesResult(value=q0, converged=True, last_ratio=0.0, tail_bound=0.0)
 
-    terms = _a_series_terms(symbol, x, n_terms)
+    terms = _a_series_terms(radial, x, n_terms)
     total = float(np.sum(terms))
     mags = np.abs(terms)
     nonzero = mags > 0
@@ -502,7 +487,7 @@ def symbol_from_json(obj) -> Symbol:
         for t in terms:
             try:
                 j, k = int(t["j"]), int(t["k"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"malformed poly term: {t!r}") from exc
             coeffs[(j, k)] = coeffs.get((j, k), 0j) + complex_from_json(t.get("c", 1.0))
         return BivariatePolynomial(coeffs)
@@ -512,7 +497,7 @@ def symbol_from_json(obj) -> Symbol:
             raise ValueError("sum 'terms' must be a non-empty list")
         decoded = []
         for t in terms:
-            if "s" not in t:
+            if not isinstance(t, dict) or "s" not in t:
                 raise ValueError(f"sum term needs a sub-symbol 's': {t!r}")
             decoded.append((complex_from_json(t.get("w", 1.0)), symbol_from_json(t["s"])))
         return Combination(tuple(decoded))

@@ -20,6 +20,7 @@ from fock_toeplitz import (
     DivergenceError,
     DomainError,
     GammaSequence,
+    NonFiniteResultError,
     RadialExponential,
     RadialMonomial,
     RadialPowerSeries,
@@ -117,6 +118,11 @@ class TestDiamond:
     def test_exponential_factor_is_rejected(self):
         with pytest.raises(DomainError):
             diamond(RadialExponential(0.1), R2)
+
+    def test_overflow_names_the_term(self):
+        # 1/k! leaves float64 from k = 171 on
+        with pytest.raises(NonFiniteResultError, match=r"term z\^200\*zbar\^200 of phi"):
+            diamond(RadialMonomial(200), R2)
 
 
 class TestWickSeries:
@@ -270,6 +276,15 @@ class TestHeatTransform:
             heat_transform(RadialExponential(2.5), 0.5)
         # just inside the threshold is fine
         heat_transform(RadialExponential(1.9), 0.5)
+
+    def test_overflow_names_the_term(self):
+        with pytest.raises(NonFiniteResultError, match=r"at the term z\^200\*zbar\^200$"):
+            heat_transform(RadialMonomial(200), 0.7)
+        # 1 − tλ overflows, so 1/(1 − tλ) would be 0 and no weight would survive
+        with pytest.raises(NonFiniteResultError, match=r"at the term exp\("):
+            heat_transform(RadialExponential(-1e308), 1e10)
+        with pytest.raises(NonFiniteResultError, match=r"at t=1e\+10 .* exp\("):
+            heat_transform(Combination(((1.0, R2), (2.0, RadialExponential(-1e308)))), 1e10)
 
     def test_semigroup_on_exponential(self):
         lam = 0.4 - 0.3j

@@ -432,6 +432,8 @@ class TestExitCodes:
         [
             ('{"kind": "radial_monomial", "m": 200}', "64"),
             ('{"kind": "radial_exponential", "lambda": {"re": 0.999, "im": 0.0}}', "200000"),
+            # (n+1)_m is inf after a few dozen of its thirty million factors
+            ('{"kind": "radial_monomial", "m": 30000000}', "3"),
         ],
     )
     def test_closed_form_overflow_is_accuracy_error(self, symbol, n):
@@ -444,6 +446,37 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "accuracy error" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "symbol",
+        [
+            '{"kind": "poly", "terms": [{"j": 1e400, "k": 0}]}',
+            '{"kind": "sum", "terms": [{"w": 1, "s": {"kind": "radial_monomial", "m": 0}}, 5]}',
+            '{"kind": "sum", "terms": [{"w": 1, "s": ' * 1500 + CONST + "}]}" * 1500,
+        ],
+        ids=["infinite-power", "sum-term-not-an-object", "nested-1500-deep"],
+    )
+    def test_malformed_symbol_is_usage_error(self, capsys, symbol):
+        code, out, err = run_cli(capsys, "gamma", "--symbol", symbol)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["heat", "--symbol", '{"kind": "radial_monomial", "m": 200}', "--t", "0.7"],
+            [
+                "heat", "--t", "1e10",
+                "--symbol", '{"kind": "radial_exponential", "lambda": {"re": -1e308, "im": 0}}',
+            ],
+            ["diamond", "--phi", '{"kind": "radial_monomial", "m": 200}', "--psi", R2],
+        ],
+        ids=["heat-degree-200", "heat-lambda-times-t-overflows", "diamond-degree-200"],
+    )
+    def test_transform_overflow_is_accuracy_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "overflows float64 at" in err and "the term " in err
 
     def test_non_finite_value_is_never_rendered(self):
         with pytest.raises(NonFiniteResultError):

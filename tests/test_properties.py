@@ -3,6 +3,9 @@
 - the diamond product is a γ-homomorphism on polynomial-radial symbols;
 - the heat transforms form a semigroup, ``H_s ∘ H_t = H_{s+t}``;
 - every symbol survives a round trip through its rendered JSON;
+- the one walk over a symbol's terms answers the structural questions
+  (radial?, merged terms, polynomial form, class membership, value) exactly
+  as the recursive per-variant code it replaced, kept here as the reference;
 - CLI stdout parses as JSON whenever the exit code is 0, and is empty
   otherwise.
 
@@ -10,9 +13,11 @@ Run with ``HYPOTHESIS_PROFILE=ci`` for the derandomized profile that CI uses.
 """
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -21,14 +26,20 @@ from hypothesis import strategies as st
 from fock_toeplitz import (
     BivariatePolynomial,
     Combination,
+    DomainError,
     RadialExponential,
     RadialMonomial,
+    SymbolClass,
     diamond,
     evaluate,
     gamma_sequence,
     heat_transform,
+    is_radial,
+    membership,
+    radial_terms,
     symbol_from_json,
     symbol_to_json,
+    to_polynomial,
 )
 from fock_toeplitz.cli import main, render_json
 
@@ -114,35 +125,202 @@ def test_symbol_json_round_trip(symbol):
     assert symbol_from_json(symbol_to_json(symbol)) == symbol
 
 
+# ---------------------------------------------------------------------------
+# the term walk against the recursive per-variant code it replaced
+
+
+def ref_is_radial(symbol) -> bool:
+    if isinstance(symbol, (RadialMonomial, RadialExponential)):
+        return True
+    if isinstance(symbol, BivariatePolynomial):
+        return symbol.is_radial()
+    return all(ref_is_radial(s) for _, s in symbol.terms)
+
+
+def ref_radial_terms(symbol):
+    if not ref_is_radial(symbol):
+        raise DomainError("symbol is not radial")
+
+    def collect(sym, weight, acc) -> None:
+        if isinstance(sym, RadialMonomial):
+            key = (sym.m, 0j)
+            acc[key] = acc.get(key, 0j) + weight
+        elif isinstance(sym, RadialExponential):
+            key = (0, sym.lam)
+            acc[key] = acc.get(key, 0j) + weight
+        elif isinstance(sym, BivariatePolynomial):
+            for (j, _k), c in sym.coefficients.items():
+                key = (j, 0j)
+                acc[key] = acc.get(key, 0j) + weight * c
+        else:
+            for w, s in sym.terms:
+                collect(s, weight * w, acc)
+
+    acc: dict = {}
+    collect(symbol, 1.0 + 0j, acc)
+    out = [(c, m, lam) for (m, lam), c in acc.items() if c != 0]
+    out.sort(key=lambda t: (t[1], t[2].real, t[2].imag))
+    return tuple(out)
+
+
+def ref_to_polynomial(symbol) -> BivariatePolynomial:
+    if isinstance(symbol, BivariatePolynomial):
+        return symbol
+    if isinstance(symbol, RadialMonomial):
+        return BivariatePolynomial({(symbol.m, symbol.m): 1.0})
+    if isinstance(symbol, Combination):
+        coeffs: dict = {}
+        for w, s in symbol.terms:
+            for key, c in ref_to_polynomial(s).coefficients.items():
+                coeffs[key] = coeffs.get(key, 0j) + w * c
+        return BivariatePolynomial(coeffs)
+    raise DomainError("exponential symbols have no polynomial form")
+
+
+def ref_growth_rate(symbol) -> float:
+    if ref_is_radial(symbol):
+        terms = ref_radial_terms(symbol)
+        return max(lam.real for _c, _m, lam in terms) if terms else -math.inf
+    if isinstance(symbol, BivariatePolynomial):
+        return 0.0 if symbol.coefficients else -math.inf
+    return max(ref_growth_rate(s) for _w, s in symbol.terms)
+
+
+def ref_membership(symbol, space) -> tuple[bool, str]:
+    rho = ref_growth_rate(symbol)
+    member, cond = {
+        SymbolClass.L1_INF_WEIGHTED: (rho < 1.0, "Re(lambda) < 1"),
+        SymbolClass.L2_INF_WEIGHTED: (2.0 * rho < 1.0, "2 Re(lambda) < 1"),
+        SymbolClass.GROWTH_DELTA_HALF: (rho < 0.5, "Re(lambda) < 1/2"),
+    }[space]
+    witness = (
+        f"exponential growth rate max Re(lambda) = {rho:g}; "
+        f"convergence requires {cond}; polynomial factors are immaterial"
+    )
+    return member, witness
+
+
+def ref_evaluate(symbol, z: complex) -> tuple[complex, float]:
+    """The value at ``z`` and the gauge ``Σ|term|``."""
+    if isinstance(symbol, RadialMonomial):
+        value = complex(abs(z) ** (2 * symbol.m))
+        return value, abs(value)
+    if isinstance(symbol, RadialExponential):
+        value = cmath.exp(symbol.lam * (z.real * z.real + z.imag * z.imag))
+        return value, abs(value)
+    if isinstance(symbol, BivariatePolynomial):
+        zb = z.conjugate()
+        terms = [c * z**j * zb**k for (j, k), c in symbol.coefficients.items()]
+        return sum(terms, 0j), sum(abs(t) for t in terms)
+    parts = [(w, *ref_evaluate(s, z)) for w, s in symbol.terms]
+    return sum((w * v for w, v, _ in parts), 0j), sum(abs(w) * g for w, _, g in parts)
+
+
+def _raises_domain_error(function, symbol):
+    try:
+        return False, function(symbol)
+    except DomainError:
+        return True, None
+
+
+radial_polynomials = st.builds(
+    BivariatePolynomial,
+    st.dictionaries(st.integers(0, 4).map(lambda m: (m, m)), complexes, max_size=3),
+)
+tree_atoms = st.one_of(
+    monomials, exponentials, polynomials, radial_polynomials, st.just(RadialExponential(0j))
+)
+
+
+def _with_cancelling(terms, pair_with):
+    """The weighted terms, plus ``(−w, s)`` for each term that ``pair_with`` picks."""
+    cancelled = tuple((-w, s) for keep, (w, s) in zip(pair_with, terms) if keep)
+    return Combination(tuple(terms) + cancelled)
+
+
+def weighted(children):
+    return st.lists(st.tuples(nonzero_complexes, children), min_size=1, max_size=3)
+
+
+symbol_trees = st.recursive(
+    tree_atoms,
+    lambda children: st.one_of(
+        weighted(children).map(tuple).map(Combination),
+        st.builds(_with_cancelling, weighted(children), st.lists(st.booleans(), max_size=3)),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(symbol_trees)
+@example(Combination(((1.0, RadialMonomial(0)), (-1.0, RadialExponential(0j)))))
+@example(Combination(((1.0, RadialExponential(0.7)), (-1.0, RadialExponential(0.7)))))
+def test_term_walk_matches_the_recursive_reference(symbol):
+    assert is_radial(symbol) == ref_is_radial(symbol)
+    for new, ref in ((radial_terms, ref_radial_terms), (to_polynomial, ref_to_polynomial)):
+        got, expected = _raises_domain_error(new, symbol), _raises_domain_error(ref, symbol)
+        assert got[0] == expected[0]
+        if new is to_polynomial and not got[0]:
+            # insertion order too: the diamond product sums in it
+            assert list(got[1].coefficients.items()) == list(expected[1].coefficients.items())
+        else:
+            assert got == expected
+    for space in SymbolClass:
+        verdict = membership(symbol, space)
+        assert (verdict.member, verdict.witness) == ref_membership(symbol, space)
+    for z in (0.0, 0.7 - 0.2j, 1.5j, -1.2 + 0.9j):
+        value, gauge = ref_evaluate(symbol, complex(z))
+        assert abs(evaluate(symbol, z) - value) <= 1e-12 * gauge
+
+
 def _no_constants(token: str):
     raise ValueError(f"{token} is not JSON")
 
 
-def _symbol_arg(symbol) -> str:
-    return json.dumps(symbol_to_json(symbol))
+# high degrees (1/k! and k! leave float64 from k = 171 on) and payloads that
+# must be refused as usage errors
+_HIGH_DEGREES = st.integers(0, 250)
+_MALFORMED = (
+    '{"kind": "poly", "terms": [{"j": 1e400, "k": 0}]}',
+    '{"kind": "sum", "terms": [{"w": 1, "s": {"kind": "radial_monomial", "m": 0}}, 5]}',
+    '{"kind": "sum", "terms": [{"w": 1, "s": ' * 1500 + '{"kind": "radial_monomial", "m": 0}'
+    + "}]}" * 1500,
+)
+symbol_args = st.one_of(
+    symbols.map(lambda s: json.dumps(symbol_to_json(s))),
+    st.one_of(
+        st.builds(RadialMonomial, _HIGH_DEGREES),
+        st.builds(
+            BivariatePolynomial,
+            st.dictionaries(st.tuples(_HIGH_DEGREES, _HIGH_DEGREES), complexes, max_size=2),
+        ),
+    ).map(lambda s: json.dumps(symbol_to_json(s))),
+    st.sampled_from(_MALFORMED),
+)
 
 
 cli_calls = st.one_of(
-    st.tuples(st.just("gamma"), symbols).map(lambda a: ["gamma", "--symbol", _symbol_arg(a[1])]),
-    st.tuples(st.sampled_from(["closed", "quadrature"]), symbols).map(
-        lambda a: ["gamma", "--symbol", _symbol_arg(a[1]), "--method", a[0], "-N", "12"]
+    symbol_args.map(lambda s: ["gamma", "--symbol", s]),
+    st.tuples(st.sampled_from(["closed", "quadrature"]), symbol_args).map(
+        lambda a: ["gamma", "--symbol", a[1], "--method", a[0], "-N", "12"]
     ),
-    symbols.map(lambda s: ["spectrum", "--symbol", _symbol_arg(s), "-N", "16"]),
-    symbols.map(lambda s: ["matrix", "--symbol", _symbol_arg(s), "-N", "4"]),
-    st.tuples(symbols, st.floats(0.05, 2.0)).map(
-        lambda a: ["heat", "--symbol", _symbol_arg(a[0]), "--t", repr(a[1])]
+    symbol_args.map(lambda s: ["spectrum", "--symbol", s, "-N", "16"]),
+    symbol_args.map(lambda s: ["matrix", "--symbol", s, "-N", "4"]),
+    st.tuples(symbol_args, st.floats(0.05, 2.0)).map(
+        lambda a: ["heat", "--symbol", a[0], "--t", repr(a[1])]
     ),
-    st.tuples(symbols, symbols).map(
-        lambda a: ["diamond", "--phi", _symbol_arg(a[0]), "--psi", _symbol_arg(a[1])]
+    st.tuples(symbol_args, symbol_args).map(
+        lambda a: ["diamond", "--phi", a[0], "--psi", a[1]]
     ),
-    st.tuples(symbols, st.floats(0.0, 4.0), st.integers(0, 8)).map(
+    st.tuples(symbol_args, st.floats(0.0, 4.0), st.integers(0, 8)).map(
         lambda a: [
-            "wick", "--symbol", _symbol_arg(a[0]), "-N", "24",
+            "wick", "--symbol", a[0], "-N", "24",
             "--r-max", repr(a[1]), "--points", str(a[2]),
         ]
     ),
-    st.tuples(symbols, symbols).map(
-        lambda a: ["compose", "--phi", _symbol_arg(a[0]), "--psi", _symbol_arg(a[1]), "-N", "12"]
+    st.tuples(symbol_args, symbol_args).map(
+        lambda a: ["compose", "--phi", a[0], "--psi", a[1], "-N", "12"]
     ),
     st.builds(complex, finite, finite).map(
         lambda c: ["classify", "--theta", f"{c.real!r}{c.imag:+}i"]

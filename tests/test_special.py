@@ -1,13 +1,15 @@
 """The package's log Γ and rising factorial against exact references.
 
 ``symbols._log_gamma`` (libm ``lgamma``) feeds every log-space sum: the
-pairwise moments, the A-series terms and the closed-form γ with λ ≠ 0.
-``quadrature._rising`` gives the λ = 0 closed forms and the rising-factorial
-basis of the reconstruction.  Both are checked against exact values, not
+pairwise moments and the A-series terms.  ``quadrature._rising`` gives the
+``(n+1)_m`` of the closed-form γ and the rising-factorial basis of the
+reconstruction.  Both are checked against exact values, not
 against another floating-point implementation.
 """
 from __future__ import annotations
 
+import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -93,3 +95,14 @@ class TestRising:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _rising(np.array([1e200]), 2).tolist() == [np.inf]
+
+    def test_all_inf_product_stops_and_finite_entries_keep_their_bits(self):
+        # thirty million factors would take about a minute; every entry is
+        # inf after a few dozen, so the loop stops there
+        start = time.perf_counter()
+        assert _rising(np.array([1.0, 7.5]), 30_000_000).tolist() == [np.inf, np.inf]
+        assert time.perf_counter() - start < 5.0
+        # one entry stays finite, so neither entry may stop early
+        a = [1.0, 400.0]
+        expected = [math.prod([ai + j for j in range(169, -1, -1)], start=1.0) for ai in a]
+        assert _rising(np.array(a), 170).tolist() == expected

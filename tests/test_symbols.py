@@ -318,7 +318,7 @@ class TestPairwiseMomentsAgainstMpmath:
             for _ in range(3):
                 symbol = _random_symbols(rng)
                 terms = radial_terms(symbol)
-                got = _a_series_terms(symbol, x, 64)
+                got = _a_series_terms(terms, x, 64)
                 for n in range(64):
                     log_weight = n * mpmath.log(x) - mpmath.loggamma(n + 1)
                     ref, gauge = _mp_moments(terms, n, log_weight)
@@ -408,6 +408,9 @@ class TestJsonRoundTrip:
             {"kind": "poly", "terms": [{"j": 1}]},
             {"kind": "sum", "terms": []},
             [1, 2, 3],
+            {"kind": "poly", "terms": [{"j": float("inf"), "k": 0}]},
+            {"kind": "sum", "terms": [{"w": 1, "s": {"kind": "radial_monomial", "m": 0}}, 5]},
+            {"kind": "sum", "terms": ["s"]},
         ],
     )
     def test_malformed_payload_raises(self, payload):
