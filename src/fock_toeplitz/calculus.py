@@ -45,14 +45,16 @@ def diamond(phi: Symbol, psi: Symbol) -> BivariatePolynomial:
     """The product ``φ ◇ ψ = Σ_k (−1)ᵏ/k! (∂_z^k φ)(∂_z̄^k ψ)``.
 
     Both factors must be polynomial (radial monomials convert via
-    ``r^{2m} = z^m z̄^m``); the sum terminates at ``k = deg_z φ`` and all
-    coefficient arithmetic is exact products of integers and inputs.
+    ``r^{2m} = z^m z̄^m``); the sum terminates at ``k = min(deg_z φ, deg_z̄ ψ)``,
+    past which one of the derivatives vanishes, and all coefficient
+    arithmetic is exact products of integers and inputs.
     :class:`NonFiniteResultError` names the term of ``φ`` whose derivatives
     leave float64 (``1/k!`` does from ``k = 171`` on).
     """
     p = to_polynomial(phi)
     q = to_polynomial(psi)
-    max_k = max((j for j, _k in p.coefficients), default=0)
+    deg_z_phi = max((j for j, _k in p.coefficients), default=0)
+    max_k = min(deg_z_phi, max((k for _j, k in q.coefficients), default=0))
     out: dict[tuple[int, int], complex] = {}
     for k_order in range(max_k + 1):
         for (pj, pk), pc in p.coefficients.items():
@@ -163,6 +165,8 @@ def heat_transform(symbol: Symbol, t: float) -> Symbol:
                     w = c * math.comb(j, i) * math.comb(k, i) * math.factorial(i) * t**i
                     key = (j - i, k - i)
                     out[key] = out.get(key, 0j) + w
+                    if not cmath.isfinite(out[key]):  # complex products overflow silently
+                        raise OverflowError(f"coefficient of z^{key[0]}*zbar^{key[1]}")
             except OverflowError as exc:
                 raise _heat_overflow(f"z^{j}*zbar^{k}", t) from exc
         return BivariatePolynomial(out)

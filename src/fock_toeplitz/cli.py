@@ -207,6 +207,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
+        except RecursionError as exc:
+            raise UsageError(f"config {args.config!r} is nested too deeply") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         unknown = set(raw) - set(_CONFIG_FIELDS)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .calculus import GaussianWickFit, diamond, fit_gaussian_wick, safe_fit_radius
 from .errors import AccuracyError, DomainError
-from .quadrature import DEFAULT_TOL, GammaSequence, _rising, gamma_sequence
+from .quadrature import DEFAULT_TOL, GammaSequence, _check_finite, _rising, gamma_sequence
 from .symbols import (
     BivariatePolynomial,
     Combination,
@@ -250,7 +250,9 @@ def audit_hypotheses(
             raise DomainError(f"hypothesis audit requires radial symbols; {name} is not radial")
     gamma_phi = gamma_sequence(phi, n_entries, tol=tol)
     gamma_psi = gamma_sequence(psi, n_entries, tol=tol)
-    product = gamma_phi.values * gamma_psi.values
+    with np.errstate(all="ignore"):  # overflow is reported below, not warned
+        product = gamma_phi.values * gamma_psi.values
+    _check_finite("product", product, n_entries)
 
     hyp1 = _boundedness(gamma_psi.values)
     hyp2 = _boundedness(product)
@@ -294,8 +296,9 @@ def _recognize_geometric(values: np.ndarray) -> tuple[complex, float] | None:
     if beta == 0:
         return None
     n = np.arange(len(values))
-    predicted = beta ** (n + 1.0)
-    residual = float(np.max(np.abs(values - predicted) / np.abs(predicted)))
+    with np.errstate(all="ignore"):  # an overflowing power leaves a nan residual: no fit
+        predicted = beta ** (n + 1.0)
+        residual = float(np.max(np.abs(values - predicted) / np.abs(predicted)))
     return beta, residual
 
 

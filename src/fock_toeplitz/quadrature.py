@@ -73,21 +73,20 @@ class QuadratureRule:
     (they sum to 1); ``weights`` carries the raw normalization summing to
     ``Γ(α+1)``.  Both are stored in ``np.longdouble`` together with the
     nodes.  At high order the most extreme unit weights can underflow to
-    exact zero; those nodes are masked once, at construction, and never
-    reach an integrand.
+    exact zero; an integrand sees ``0.0`` in place of those nodes, so every
+    rule of an order sums ``order`` terms.
     """
 
     order: int
     alpha: float
     nodes: np.ndarray
     unit_weights: np.ndarray
-    _live_nodes: np.ndarray = field(init=False, repr=False)
-    _live_weights: np.ndarray = field(init=False, repr=False)  # np.clongdouble
+    _padded_nodes: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)  # np.clongdouble
 
     def __post_init__(self) -> None:
-        mask = self.unit_weights > 0
-        object.__setattr__(self, "_live_nodes", self.nodes[mask])
-        object.__setattr__(self, "_live_weights", self.unit_weights[mask].astype(_CLD))
+        object.__setattr__(self, "_padded_nodes", np.where(self.unit_weights > 0, self.nodes, 0.0))
+        object.__setattr__(self, "_weights", self.unit_weights.astype(_CLD))
 
     @property
     def weights(self) -> np.ndarray:
@@ -95,7 +94,7 @@ class QuadratureRule:
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Unit-normalized integral ``∫ f(u) u^α e^{−u} du / Γ(α+1)``."""
-        return complex(np.sum(self._live_weights * np.asarray(f(self._live_nodes))))
+        return complex(np.sum(self._weights * np.asarray(f(self._padded_nodes))))
 
 
 def _gamma_scale(alpha: float) -> np.longdouble:
@@ -128,7 +127,7 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
         raise DomainError(f"rule order must be >= 1, got {order}")
     _check_alpha(alpha)
     alpha = float(alpha)
-    rule = _RULES.get((order, alpha))
+    (rule,) = _RULES.get_many(order, [alpha])
     if rule is None:
         (rule,) = _RULES.put(order, _build_rules(order, [alpha]))
     return rule
@@ -149,21 +148,21 @@ class _RuleCache:
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
         self._rules: OrderedDict[tuple[int, float], QuadratureRule] = OrderedDict()
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._hits = self._misses = 0
 
-    def get(self, key: tuple[int, float]) -> QuadratureRule | None:
+    def get_many(self, order: int, alphas: list[float], built=()) -> list[QuadratureRule | None]:
+        """The cached rules of ``order`` for ``alphas``, None where there is
+        none, looked up under the one lock that first puts ``built`` in the
+        cache; each rule found counts one hit."""
         with self._lock:
-            rule = self._rules.get(key)
-            if rule is not None:
-                self._rules.move_to_end(key)
-                self._hits += 1
-            return rule
-
-    def missing(self, order: int, alphas: list[float]) -> list[float]:
-        """The ``alphas`` without a cached rule of ``order``."""
-        with self._lock:
-            return [a for a in alphas if (order, a) not in self._rules]
+            self.put(order, built)
+            rules = [self._rules.get((order, a)) for a in alphas]
+            for a, rule in zip(alphas, rules):
+                if rule is not None:
+                    self._rules.move_to_end((order, a))
+            self._hits += len(rules) - rules.count(None)
+        return rules
 
     def put(self, order: int, rules: list[QuadratureRule]) -> list[QuadratureRule]:
         with self._lock:
@@ -266,19 +265,25 @@ def _frozen_rule(
     return QuadratureRule(order=order, alpha=alpha, nodes=nodes, unit_weights=unit_weights)
 
 
-def _rung_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
-    """The rules of ``order`` for ``alphas``: missing ones are built in
-    batches of at most ``_BATCH_NODES`` nodes, then each is looked up once
-    through :func:`build_rule`, right after its batch entered the cache."""
+def _rung_rules(order: int, alphas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The padded nodes and complex unit weights of the rules of ``order`` for
+    ``alphas`` as ``(len(alphas), order)`` arrays.  Each chunk of at most
+    ``_BATCH_NODES`` nodes is looked up under one lock; its missing rules are
+    built in one batch and looked up as they enter the cache, so each rule
+    counts one hit."""
     rules: list[QuadratureRule] = []
     step = max(1, min(_BATCH_NODES // order, _RULE_CACHE_SIZE))
     for start in range(0, len(alphas), step):
         chunk = alphas[start : start + step]
-        missing = _RULES.missing(order, chunk)
+        found = _RULES.get_many(order, chunk)
+        missing = [a for a, rule in zip(chunk, found) if rule is None]
         if missing:
-            _RULES.put(order, _build_rules(order, missing))
-        rules += [build_rule(order, alpha) for alpha in chunk]
-    return rules
+            built = iter(_RULES.get_many(order, missing, _build_rules(order, missing)))
+            found = [rule or next(built) for rule in found]
+        rules += found
+    shape = (len(rules), order)
+    nodes = np.concatenate([r._padded_nodes for r in rules]).reshape(shape)
+    return nodes, np.concatenate([r._weights for r in rules]).reshape(shape)
 
 
 def _ladder(
@@ -286,58 +291,54 @@ def _ladder(
     alphas: list[float],
     tol: float,
     max_order: int,
-) -> list[tuple[complex, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Order-doubling ladders for the unit-normalized integrals of ``f``, one
-    per weight exponent in ``alphas``, run in lockstep.
+    per weight exponent in ``alphas``, run in lockstep; returns the values and
+    their ``err``s.
 
-    Each rung (order 8, 16, 32, …) evaluates ``f`` once, on the concatenated
-    live nodes of every entry still climbing, and sums each rule's slice.
-    Per entry the result is ``(value, err)`` where ``err`` is the last
-    successive difference, clipped from below by the rounding floor of the
-    final sum.  When the floor is hit before ``tol``, the entry stops with
-    the floor as its estimate; at ``max_order`` it returns the best value
-    seen with its floor-aware estimate.  The caller decides whether that is
-    reliable.
+    Each rung (order 8, 16, 32, …) evaluates ``f`` once, on the flattened
+    ``(entries, order)`` nodes of every entry still climbing, and sums each
+    row.  ``err`` is the last successive difference, clipped from below by
+    the rounding floor of the final sum.  An entry stops at the first rung
+    whose difference is below ``tol`` or below its floor; at ``max_order`` it
+    returns the best value seen with its floor-aware estimate.  The caller
+    decides whether that is reliable.
     """
     if max_order < 8:
         raise DomainError(f"max_order must be >= 8, got {max_order}")
-    results: list[tuple[complex, float]] = [(0j, math.inf)] * len(alphas)
-    prev: dict[int, complex] = {}
-    best: dict[int, tuple[complex, float]] = {}
-    active = list(range(len(alphas)))
+    alphas = np.array(alphas, dtype=float)
+    values, prev, best = (np.zeros(alphas.size, dtype=complex) for _ in range(3))
+    errs, best_err = np.full(alphas.size, math.inf), np.full(alphas.size, math.inf)
+    active = np.arange(alphas.size)
     order = 8
-    while active and order <= max_order:
-        rules = _rung_rules(order, [alphas[i] for i in active])
-        weights = np.concatenate([rule._live_weights for rule in rules])
-        fx = np.asarray(f(np.concatenate([rule._live_nodes for rule in rules])))
-        terms = weights * fx
-        gauges = weights.real * np.abs(fx)
-        climbing = []
-        end = 0
-        for i, rule in zip(active, rules):
-            start, end = end, end + rule._live_nodes.size
-            # np.add.reduce is np.sum's pairwise sum without its wrapper
-            value = complex(np.add.reduce(terms[start:end]))
-            floor = _FLOOR_FACTOR * _EPS_LD * float(np.add.reduce(gauges[start:end]))
-            if i in prev:
-                est = abs(value - prev[i])
-                if i not in best or est < best[i][1]:
-                    best[i] = (value, max(est, floor))
-                if est < tol:
-                    results[i] = (value, max(est, floor))
-                    continue
-                if est < floor:
-                    # further refinement only re-rounds: report the floor
-                    results[i] = (value, floor)
-                    continue
-            prev[i] = value
-            climbing.append(i)
-        active = climbing
+    while active.size and order <= max_order:
+        nodes, weights = _rung_rules(order, alphas[active].tolist())
+        fx = np.asarray(f(nodes.ravel()))
+        # reshaped after the product, so a scalar fx broadcasts; np.add.reduce
+        # along a row is np.sum's pairwise sum of that row alone
+        value = np.add.reduce((weights.ravel() * fx).reshape(nodes.shape), axis=1)
+        gauge = np.add.reduce((weights.real.ravel() * np.abs(fx)).reshape(nodes.shape), axis=1)
+        # a sum past float64 reads inf, and inf − inf nan, without a warning
+        with np.errstate(all="ignore"):
+            value, floor = value.astype(complex), _FLOOR_FACTOR * _EPS_LD * gauge.astype(float)
+            if order > 8:
+                diff = value - prev[active]
+                # hypot is Python's complex abs; np.abs can differ from it by an ulp
+                est = np.hypot(diff.real, diff.imag)
+                err = np.maximum(est, floor)
+                better = (est < best_err[active]) | (order == 16)  # the first is the best yet
+                best[active[better]], best_err[active[better]] = value[better], err[better]
+                # below the floor, refinement only re-rounds; err is then the floor
+                stop = (est < tol) | (est < floor)
+                values[active[stop]], errs[active[stop]] = value[stop], err[stop]
+                active, value = active[~stop], value[~stop]
+        prev[active] = value
         order *= 2
-    for i in active:
-        # a single rung gives no estimate
-        results[i] = best.get(i, (prev[i], math.inf))
-    return results
+    if order > 16:
+        values[active], errs[active] = best[active], best_err[active]
+    else:  # a single rung gives no estimate
+        values[active] = prev[active]
+    return values, errs
 
 
 def integrate_weighted(
@@ -355,12 +356,12 @@ def integrate_weighted(
     :class:`NonFiniteResultError` is raised when the value overflows float64.
     """
     _check_alpha(alpha)
-    ((value, err),) = _ladder(f, [float(alpha)], tol, max_order)
+    values, errs = _ladder(f, [float(alpha)], tol, max_order)
     scale = float(_gamma_scale(alpha))  # inf past the float64 range
-    value = value * scale
+    value = complex(values[0]) * scale
     if not np.isfinite(value):
         raise NonFiniteResultError(f"weighted integral overflows float64 at alpha = {alpha}")
-    return value, err * scale
+    return value, float(errs[0]) * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,9 +444,13 @@ def _first_overflow(values: np.ndarray) -> int:
     return int(bad[0]) if bad.size else len(values)
 
 
-def _overflow_error(path: str, first: int) -> NonFiniteResultError:
-    hint = f"; request at most {first} entries" if first else ""
-    return NonFiniteResultError(f"{path} gamma overflows float64 at n = {first}{hint}")
+def _check_finite(path: str, values: np.ndarray, n_entries: int) -> None:
+    """:class:`NonFiniteResultError` naming the first of ``n_entries`` entries
+    that ``values`` leaves non-finite or out."""
+    first = _first_overflow(values)
+    if first < n_entries:
+        hint = f"; request at most {first} entries" if first else ""
+        raise NonFiniteResultError(f"{path} gamma overflows float64 at n = {first}{hint}")
 
 
 def gamma_sequence(
@@ -476,10 +481,8 @@ def gamma_sequence(
         raise DomainError(f"unknown gamma method: {method!r}")
 
     closed = _gamma_closed(terms, n_entries)
-    closed_end = _first_overflow(closed)
     if method == "closed":
-        if closed_end < n_entries:
-            raise _overflow_error("closed-form", closed_end)
+        _check_finite("closed-form", closed, n_entries)
         abs_err = 16.0 * np.finfo(float).eps * np.abs(closed)
         return GammaSequence(
             values=closed, abs_err=abs_err, source=describe(symbol), tol=tol, method="closed"
@@ -489,12 +492,9 @@ def gamma_sequence(
     # nodes cannot reach the mass that makes them overflow, so they are not
     # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
     profile = lambda u: radial_profile(symbol, u)  # noqa: E731
-    ladder = _ladder(profile, [float(n) for n in range(closed_end)], tol, max_order)
-    values = np.array([value for value, _ in ladder], dtype=complex)
-    abs_err = np.array([err for _, err in ladder], dtype=float)
-    first = _first_overflow(values)
-    if first < n_entries:
-        raise _overflow_error("quadrature", first)
+    closed_end = _first_overflow(closed)
+    values, abs_err = _ladder(profile, [float(n) for n in range(closed_end)], tol, max_order)
+    _check_finite("quadrature", values, n_entries)
     return GammaSequence(
         values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"
     )

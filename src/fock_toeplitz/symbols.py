@@ -205,15 +205,21 @@ def radial_profile(symbol: Symbol, u: np.ndarray) -> np.ndarray:
     """Vectorized ``a(√u)`` for a radial symbol, i.e. the profile in ``u = r²``.
 
     Preserves the floating type of ``u`` (complex result), so extended
-    precision survives when the caller passes ``np.longdouble`` nodes.
+    precision survives when the caller passes ``np.longdouble`` nodes.  A
+    real rate ``λ`` takes the real ``exp``: on ``np.longdouble`` nodes that
+    is the complex one's value bit for bit, on float64 nodes within an ulp.
     """
     terms = radial_terms(symbol)
     u = np.asarray(u)
     out = np.zeros(u.shape, dtype=np.result_type(u.dtype, np.complex128))
     for c, m, lam in terms:
-        term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
-        if lam != 0:
-            term = term * np.exp(out.dtype.type(lam) * u)
+        if lam.real and not lam.imag and not m:
+            # e^{λu} as a real array enters the sum as (e + 0i), as 1·e^{λu} did
+            term = np.exp(out.real.dtype.type(lam.real) * u)
+        else:
+            term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
+            if lam != 0:
+                term = term * np.exp(out.dtype.type(lam) * u)
         out += out.dtype.type(c) * term
     if not np.all(np.isfinite(out)):
         raise NonFiniteResultError("radial profile evaluation not finite")
@@ -294,8 +300,18 @@ def _radial_in(symbol: Symbol, space: SymbolClass, what: str):
 
 
 def _log_gamma(x: np.ndarray) -> np.ndarray:
-    """``log Γ`` of each entry of a float array by libm ``lgamma``."""
-    return np.fromiter(map(math.lgamma, x.tolist()), dtype=float, count=x.size)
+    """``log Γ`` of each entry of a float array by libm ``lgamma``; ``inf`` past float64."""
+    try:
+        return np.fromiter(map(math.lgamma, x.tolist()), dtype=float, count=x.size)
+    except OverflowError:
+        return np.fromiter(map(_lgamma_or_inf, x.tolist()), dtype=float, count=x.size)
+
+
+def _lgamma_or_inf(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except OverflowError:
+        return math.inf
 
 
 def _pairwise_moments(terms, n_entries: int, log_weight) -> np.ndarray:

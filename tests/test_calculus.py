@@ -120,9 +120,18 @@ class TestDiamond:
             diamond(RadialExponential(0.1), R2)
 
     def test_overflow_names_the_term(self):
-        # 1/k! leaves float64 from k = 171 on
+        # 1/k! leaves float64 from k = 171 on; both factors reach it
         with pytest.raises(NonFiniteResultError, match=r"term z\^200\*zbar\^200 of phi"):
-            diamond(RadialMonomial(200), R2)
+            diamond(RadialMonomial(200), RadialMonomial(200))
+
+    def test_the_sum_stops_at_the_zbar_degree_of_psi(self):
+        # ∂_z̄^k ψ vanishes for k > deg_z̄ ψ, so 1/k! is never formed there
+        assert diamond(RadialMonomial(200), RadialMonomial(0)).coefficients == {(200, 200): 1.0}
+        zbar = BivariatePolynomial({(0, 1): 1.0})
+        assert diamond(RadialMonomial(200), zbar).coefficients == {
+            (200, 201): 1.0,
+            (199, 200): -200.0,
+        }
 
 
 class TestWickSeries:
@@ -285,6 +294,9 @@ class TestHeatTransform:
             heat_transform(RadialExponential(-1e308), 1e10)
         with pytest.raises(NonFiniteResultError, match=r"at t=1e\+10 .* exp\("):
             heat_transform(Combination(((1.0, R2), (2.0, RadialExponential(-1e308)))), 1e10)
+        # each factor is finite, their complex product is not
+        with pytest.raises(NonFiniteResultError, match=r"at the term z\^3\*zbar\^3$"):
+            heat_transform(BivariatePolynomial({(3, 3): 1e300}), 1000.0)
 
     def test_semigroup_on_exponential(self):
         lam = 0.4 - 0.3j

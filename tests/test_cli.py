@@ -17,6 +17,7 @@ CONST = '{"kind": "radial_monomial", "m": 0}'
 R2 = '{"kind": "radial_monomial", "m": 1}'
 EXAMPLE = '{"kind": "radial_exponential", "lambda": {"re": 0.4, "im": 0.8}}'
 NON_RADIAL = '{"kind": "poly", "terms": [{"j": 1, "k": 0, "c": 1.0}]}'
+R400 = '{"kind": "radial_monomial", "m": 200}'
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -337,6 +338,11 @@ class TestOtherCommands:
         terms = {(t["j"], t["k"]): t["c"]["re"] for t in json.loads(out)["result"]["terms"]}
         assert terms == {(2, 2): 1.0, (1, 1): -1.0}
 
+    def test_diamond_of_a_high_degree_with_a_constant(self, capsys):
+        code, out, _ = run_cli(capsys, "diamond", "--phi", R400, "--psi", CONST)
+        assert code == 0
+        assert json.loads(out)["result"]["terms"] == [{"j": 200, "k": 200, "c": {"re": 1, "im": 0}}]
+
     def test_wick_grid(self, capsys):
         code, out, _ = run_cli(
             capsys, "wick", "--symbol", R2, "-N", "48", "--r-max", "1.0", "--points", "5"
@@ -469,7 +475,8 @@ class TestExitCodes:
                 "heat", "--t", "1e10",
                 "--symbol", '{"kind": "radial_exponential", "lambda": {"re": -1e308, "im": 0}}',
             ],
-            ["diamond", "--phi", '{"kind": "radial_monomial", "m": 200}', "--psi", R2],
+            # both factors reach k = 171, where 1/k! leaves float64
+            ["diamond", "--phi", R400, "--psi", R400],
         ],
         ids=["heat-degree-200", "heat-lambda-times-t-overflows", "diamond-degree-200"],
     )
@@ -483,6 +490,13 @@ class TestExitCodes:
             render_json({"x": float("inf")})
         with pytest.raises(NonFiniteResultError):
             render_json([float("nan")])
+
+    def test_deeply_nested_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--theta", "3", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == f"error: config {str(cfg)!r} is nested too deeply\n"
 
     def test_bad_env_tol_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_TOL, "not-a-number")

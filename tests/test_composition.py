@@ -2,6 +2,8 @@
 classifier."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import poch
@@ -12,6 +14,7 @@ from fock_toeplitz import (
     Combination,
     DomainError,
     GammaSequence,
+    NonFiniteResultError,
     ObstructionCase,
     RadialExponential,
     RadialMonomial,
@@ -124,6 +127,15 @@ class TestHypothesisAudit:
         verdict = report.hyp3_phi_square_class
         assert not verdict.member and not verdict.q_finite
         assert not any(ok for _x, ok in verdict.a_converged)
+
+    def test_overflowing_product_names_the_first_n(self):
+        # γ(n) = 10^{n+1} for each factor, so the product leaves float64 at n = 154
+        gaussian = RadialExponential(0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match=r"at n = 154; request at most 154 "):
+                audit_hypotheses(gaussian, gaussian, n_entries=200)
+            audit_hypotheses(gaussian, gaussian, n_entries=154)
 
     def test_non_radial_factor_is_rejected(self):
         with pytest.raises(DomainError):
@@ -338,6 +350,14 @@ class TestReconstruction:
         details = reconstruct_details(g)
         assert details.symbol is None
         assert "canonical datum" in details.note
+
+    def test_geometric_power_past_float64_is_no_fit_and_no_warning(self):
+        # γ(0) ≈ 6.7e9 but the sequence is not geometric: β^{n+1} overflows
+        phi = Combination(((1e10, RadialExponential(-0.5)), (1.0, RadialMonomial(1))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recon = reconstruct_details(gamma_sequence(phi, 60))
+        assert recon.symbol is None and recon.family is None
 
     def test_short_prefix_is_inconclusive(self):
         g = GammaSequence(

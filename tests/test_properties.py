@@ -18,8 +18,10 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -300,7 +302,23 @@ symbol_args = st.one_of(
 )
 
 
+# inputs that once printed a traceback or a RuntimeWarning, or exited
+# nonzero on a well-defined result; DEEP_CONFIG stands for a file of 100 000 '['
+_R400 = '{"kind": "radial_monomial", "m": 200}'
+_GROWING = '{"kind": "radial_exponential", "lambda": {"re": 0.9, "im": 0}}'
+_EDGE_CALLS = (
+    ["classify", "--theta", "3", "--config", "DEEP_CONFIG"],
+    ["diamond", "--phi", _R400, "--psi", '{"kind": "radial_monomial", "m": 0}'],
+    ["heat", "--symbol", '{"kind": "poly", "terms": [{"j": 3, "k": 3, "c": 1e300}]}', "--t", "1000.0"],
+    ["compose", "--phi", _GROWING, "--psi", _GROWING, "-N", "200"],
+    [
+        "compose", "--psi", '{"kind": "radial_monomial", "m": 0}', "-N", "60", "--phi",
+        '{"kind": "sum", "terms": [{"w": 1e10, "s": {"kind": "radial_exponential", '
+        '"lambda": {"re": -0.5, "im": 0}}}, {"w": 1, "s": {"kind": "radial_monomial", "m": 1}}]}',
+    ],
+)
 cli_calls = st.one_of(
+    st.sampled_from(_EDGE_CALLS),
     symbol_args.map(lambda s: ["gamma", "--symbol", s]),
     st.tuples(st.sampled_from(["closed", "quadrature"]), symbol_args).map(
         lambda a: ["gamma", "--symbol", a[1], "--method", a[0], "-N", "12"]
@@ -328,12 +346,27 @@ cli_calls = st.one_of(
 )
 
 
+@pytest.fixture(scope="module")
+def deep_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    return str(path)
+
+
 @settings(max_examples=60, deadline=None)
-@given(cli_calls)
-def test_cli_stdout_is_json_or_the_exit_code_is_nonzero(argv):
+@given(argv=cli_calls)
+@example(argv=_EDGE_CALLS[0])
+@example(argv=_EDGE_CALLS[1])
+@example(argv=_EDGE_CALLS[2])
+@example(argv=_EDGE_CALLS[3])
+@example(argv=_EDGE_CALLS[4])
+def test_cli_stdout_is_json_or_the_exit_code_is_nonzero(deep_config, argv):
+    argv = [deep_config if a == "DEEP_CONFIG" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
+    assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_no_constants)
     else:

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,7 +31,7 @@ from fock_toeplitz import (
 )
 from fock_toeplitz import quadrature
 from fock_toeplitz.quadrature import DEFAULT_TOL, MAX_ORDER, _build_rules
-from fock_toeplitz.symbols import radial_profile
+from fock_toeplitz.symbols import radial_profile, radial_terms
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 
@@ -133,16 +135,19 @@ def _mpmath_rule(order: int, alpha: float, seeds: np.ndarray) -> tuple[list, lis
 
 
 def _reference_ladder(f, alpha: float, tol: float, max_order: int):
-    """``(value, err, stop)`` of the order-doubling ladder for one ``alpha``;
-    ``stop`` names the branch that ended it."""
+    """``(value, err, stop)`` of the order-doubling ladder for one ``alpha``,
+    summed over the nodes of nonzero weight only; ``stop`` names the branch
+    that ended it."""
     order = 8
     prev = None
     best = None
     while order <= max_order:
         rule = build_rule(order, alpha)
-        fx = np.asarray(f(rule._live_nodes))
-        value = complex(np.sum(rule._live_weights * fx))
-        gauge = float(np.sum(rule._live_weights.real * np.abs(fx)).real)
+        live = rule.unit_weights > 0
+        weights = rule.unit_weights[live].astype(np.clongdouble)
+        fx = np.asarray(f(rule.nodes[live]))
+        value = complex(np.sum(weights * fx))
+        gauge = float(np.sum(weights.real * np.abs(fx)).real)
         floor = quadrature._FLOOR_FACTOR * quadrature._EPS_LD * gauge
         if prev is not None:
             est = abs(value - prev)
@@ -159,8 +164,19 @@ def _reference_ladder(f, alpha: float, tol: float, max_order: int):
     return (*best, "max order, last" if best[0] == prev else "max order, earlier")
 
 
+def _reference_profile(symbol, u: np.ndarray) -> np.ndarray:
+    """``a(√u)`` with every rate ``λ ≠ 0`` through the complex ``exp``."""
+    out = np.zeros(u.shape, dtype=np.result_type(u.dtype, np.complex128))
+    for c, m, lam in radial_terms(symbol):
+        term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
+        if lam != 0:
+            term = term * np.exp(out.dtype.type(lam) * u)
+        out += out.dtype.type(c) * term
+    return out
+
+
 def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
-    profile = lambda u: radial_profile(symbol, u)  # noqa: E731
+    profile = lambda u: _reference_profile(symbol, u)  # noqa: E731
     return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
 
 
@@ -340,6 +356,38 @@ class TestRuleCache:
         assert (info.misses, info.currsize) == (6, 6)
         assert info.hits == 6  # each rung looks its rules up through build_rule
 
+    def test_threads_sharing_an_evicting_cache_get_the_single_thread_bits(self, monkeypatch):
+        # the cache holds fewer rules than the four ladders share, so threads
+        # evict each other's rules between their lookups and builds
+        symbol = RadialExponential(LAM_EXAMPLE)
+        expected = {n: gamma_sequence(symbol, n, method="quadrature") for n in (12, 16, 20, 24)}
+        monkeypatch.setattr(quadrature._RULES, "maxsize", 30)
+        build_rule.cache_clear()
+        results, errors = {}, []
+
+        def run(n):
+            try:
+                for _ in range(3):
+                    results[n] = gamma_sequence(symbol, n, method="quadrature")
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            build_rule.cache_clear()
+        assert not errors and not any(t.is_alive() for t in threads)
+        for n, g in expected.items():
+            assert np.array_equal(results[n].values, g.values), n
+            assert np.array_equal(results[n].abs_err, g.abs_err), n
+
     def test_profile_is_evaluated_once_per_rung(self, monkeypatch):
         sizes = []
 
@@ -428,6 +476,16 @@ class TestIntegrateWeighted:
             with mpmath.workdps(40):
                 ref = mpmath.gamma(alpha + 1) / rate ** (alpha + 1)
                 assert abs(value - ref) <= DEFAULT_TOL * mpmath.gamma(alpha + 1)
+
+    def test_a_sum_past_float64_raises_without_a_warning(self):
+        # the longdouble sums hold 1e600; float64 reads inf, as float() does
+        def huge(u):
+            return np.full(u.shape, np.longdouble(1e300)) * np.longdouble(1e300)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResultError, match="alpha = 0.0"):
+                integrate_weighted(huge, 0.0)
 
     @pytest.mark.parametrize("alpha", [170.75, 200.0])
     def test_float64_overflow_raises(self, alpha):
@@ -565,6 +623,15 @@ class TestLockstepLadder:
         # an oscillation the rungs up to 64 do not resolve: its successive
         # differences do not shrink, so some ladders end on an earlier rung
         cases += [(RadialExponential(3j), 45, 1e-12, 64)]
+        # real rates, which the profile takes through the real exp: Gaussians
+        # on both sides of the step near a = 0.9, a signed-zero λ, and sums
+        for a in (0.05, 0.5, 0.9, 1.25, 3.0):
+            cases += [(RadialExponential(-a), 41, 1e-12, 512)]
+        cases += [(RadialExponential(complex(-1.2, -0.0)), 41, 1e-30, 64)]
+        cases += [
+            (Combination(((2.0, RadialMonomial(2)), (1j, RadialExponential(-0.6)))), 41, 1e-12, 512),
+            (Combination(((1.0, RadialExponential(-0.3)), (-0.5, RadialExponential(0.2)))), 41, 1e-12, 512),
+        ]
         stops = set()
         for symbol, n_entries, tol, max_order in cases:
             ref = _reference_gamma(symbol, n_entries, tol, max_order)
@@ -582,6 +649,52 @@ class TestLockstepLadder:
             ref_value, ref_err, _ = _reference_ladder(f, alpha, DEFAULT_TOL, MAX_ORDER)
             scale = math.gamma(alpha + 1.0)
             assert (value, err) == (ref_value * scale, ref_err * scale)
+
+    def test_zero_weight_nodes_are_padding_the_integrand_never_sees(self):
+        # rules whose extreme unit weights underflowed: the ladder sums the
+        # live nodes only, and its integrand sees 0.0 in place of the others
+        rules = {}
+        for order in (8, 16):
+            rule = build_rule(order, 3.0)
+            weights = rule.unit_weights.copy()
+            weights[[0, -1]] = 0.0
+            rules[order] = QuadratureRule(order, 3.0, rule.nodes, weights)
+        extremes = {float(v) for r in rules.values() for v in r.nodes[[0, -1]]}
+        seen = []
+
+        def f(u):
+            seen.extend(float(v) for v in u)
+            return np.exp(LAM_EXAMPLE * u.astype(np.clongdouble))
+
+        build_rule.cache_clear()
+        try:
+            for order, rule in rules.items():
+                quadrature._RULES.put(order, [rule])
+            values, errs = quadrature._ladder(f, [3.0], 1e-30, 16)
+        finally:
+            build_rule.cache_clear()
+        assert not extremes & set(seen) and 0.0 in seen
+        live = [(r.unit_weights > 0, r) for r in rules.values()]
+        sums = [
+            complex(np.sum(r.unit_weights[m].astype(np.clongdouble) * f(r.nodes[m])))
+            for m, r in live
+        ]
+        assert values[0] == sums[1]
+        assert errs[0] >= abs(sums[1] - sums[0])
+
+    def test_real_rate_profile_is_the_complex_one_bit_for_bit(self):
+        u = np.concatenate([build_rule(order, 5.0).nodes for order in (8, 64, 512)])
+        for lam in (-0.05, -0.9, -3.0, 0.4, complex(-1.2, -0.0)):
+            symbol = Combination(((1.5, RadialExponential(lam)), (0.25j, RadialMonomial(1))))
+            got, ref = radial_profile(symbol, u), _reference_profile(symbol, u)
+            assert got.dtype == ref.dtype == np.clongdouble
+            assert np.array_equal(got.real, ref.real) and np.array_equal(got.imag, ref.imag)
+            assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+        # float64 nodes: numpy's complex128 exp may differ from the real one by an ulp
+        x = np.linspace(0.0, 40.0, 4001)
+        got = radial_profile(RadialExponential(-0.7), x)
+        ref = _reference_profile(RadialExponential(-0.7), x)
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
 
     def test_invalid_ladder_arguments(self):
         with pytest.raises(DomainError):

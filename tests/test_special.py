@@ -63,6 +63,14 @@ class TestLogGamma:
         assert_log_gamma_within_4_ulp(np.array(halves, dtype=float) / 2.0)
 
 
+class TestLogGammaOverflow:
+    def test_overflow_is_inf_not_an_exception(self):
+        # lgamma leaves float64 near 2.6e305; the callers' finiteness checks see inf
+        got = _log_gamma(np.array([2.0, 3e305, 1e305]))
+        assert got[0] == 0.0 and got[1] == np.inf
+        assert got[2] == math.lgamma(1e305)
+
+
 class TestRising:
     @pytest.mark.parametrize("m", range(12))
     def test_matches_exact_integers_on_1_to_5000(self, m):
