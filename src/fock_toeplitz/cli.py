@@ -54,8 +54,8 @@ class RunConfig:
             raise UsageError(f"truncation must be >= 2, got {self.truncation}")
         if not 0 < self.tol < math.inf:
             raise UsageError(f"tol must be positive and finite, got {self.tol}")
-        if not all(math.isfinite(x) for x in self.x_samples):
-            raise UsageError(f"x-samples must be finite, got {list(self.x_samples)}")
+        if not all(0 <= x < math.inf for x in self.x_samples):
+            raise UsageError(f"x-samples must be finite and >= 0, got {list(self.x_samples)}")
         if self.fmt not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.fmt!r}")
 

@@ -156,7 +156,7 @@ def ladder_matrices(n_dim: int) -> tuple[TruncatedOperator, TruncatedOperator]:
 def scaling_operator(a: complex, n_dim: int) -> TruncatedOperator:
     """The operator ``M_a f(z) = a f(az)``, diagonal with entries ``a^{n+1}``."""
     a = complex(a)
-    diag = np.array([a ** (n + 1) for n in range(n_dim)], dtype=complex)
+    diag = a ** np.arange(1, n_dim + 1)
     return TruncatedOperator(dim=n_dim, entries=np.diag(diag))
 
 

@@ -330,6 +330,24 @@ class TestComposeCommand:
         assert payload["tau"] == {"kind": "radial_monomial", "m": 0}
 
 
+    def test_a_member_phi_converges_at_large_x(self, capsys):
+        phi = '{"kind": "radial_exponential", "lambda": {"re": 0.4, "im": 0.8}}'
+        code, out, _ = run_cli(
+            capsys, "compose", "--phi", phi, "--psi", CONST, "--x-samples", "20,100"
+        )
+        assert code == 0
+        hyp3 = json.loads(out)["hyp3"]
+        assert hyp3["member"]
+        assert [(e["x"], e["converged"]) for e in hyp3["a_series"]] == [(20.0, True), (100.0, True)]
+
+    @pytest.mark.parametrize("lam", ['{"re": 0.6, "im": 0}', '{"re": 0.4, "im": 0.8}'])
+    def test_a_negative_x_sample_is_a_usage_error_for_any_phi(self, capsys, lam):
+        phi = '{"kind": "radial_exponential", "lambda": %s}' % lam
+        code, out, err = run_cli(capsys, "compose", "--phi", phi, "--psi", CONST, "--x-samples=-1")
+        assert (code, out) == (2, "")
+        assert ">= 0" in err
+
+
 class TestOtherCommands:
     def test_diamond(self, capsys):
         r2_poly = '{"kind": "poly", "terms": [{"j": 1, "k": 1, "c": 1.0}]}'

@@ -89,7 +89,7 @@ class TestHypothesisAudit:
         assert not report.hyp2_product_bounded.bounded
         assert report.hyp2_product_bounded.growth_exponent == pytest.approx(2.0, abs=0.2)
         assert report.hyp1_bounded_psi.growth_exponent == pytest.approx(1.0, abs=0.2)
-        assert "prefix" in report.hyp1_bounded_psi.note
+        assert report.hyp1_bounded_psi.note.startswith("decided from the terms")
 
     def test_example_exponential_satisfies_everything(self):
         phi = RadialExponential(LAM_EXAMPLE)
@@ -142,6 +142,82 @@ class TestHypothesisAudit:
             audit_hypotheses(BivariatePolynomial({(1, 0): 1.0}), RadialMonomial(0))
         with pytest.raises(DomainError):
             audit_hypotheses(RadialMonomial(0), BivariatePolynomial({(0, 1): 1.0}))
+
+
+def _on_circle(beta: complex) -> RadialExponential:
+    """The exponential whose γ-sequence is ``β^{n+1}``."""
+    return RadialExponential(1.0 - 1.0 / beta)
+
+
+class TestDecidedBoundedness:
+    """The audit decides each hypothesis from the terms, not from a prefix."""
+
+    def test_a_tiny_growing_term_is_unbounded(self):
+        psi = Combination(((1.0, RadialExponential(-1.0)), (1e-20, R2)))
+        verdict = audit_hypotheses(RadialMonomial(0), psi).hyp1_bounded_psi
+        assert not verdict.bounded
+        assert (verdict.growth_exponent, verdict.growth_rate) == (1.0, 1.0)
+
+    def test_a_difference_of_decaying_gaussians_is_bounded(self):
+        psi = Combination(((1.0, RadialExponential(-0.01)), (-1.0, RadialExponential(-0.02))))
+        verdict = audit_hypotheses(RadialMonomial(0), psi).hyp1_bounded_psi
+        assert verdict.bounded and verdict.growth_exponent is None
+        assert verdict.growth_rate == pytest.approx(1.0 / 1.01, rel=1e-15)
+
+    def test_a_geometric_square_has_its_rate_and_no_polynomial_exponent(self):
+        phi = RadialExponential(0.5)
+        report = audit_hypotheses(phi, phi, n_entries=30)
+        assert not report.hyp2_product_bounded.bounded
+        assert report.hyp2_product_bounded.growth_exponent == 0.0
+        assert report.hyp2_product_bounded.growth_rate == 4.0
+        assert report.hyp1_bounded_psi.growth_rate == 2.0
+
+    @pytest.mark.parametrize("x", [20.0, 100.0])
+    def test_a_member_converges_at_every_x(self, x):
+        phi = RadialExponential(0.4 + 0.8j)
+        verdict = audit_hypotheses(phi, RadialMonomial(0), x_samples=(x,)).hyp3_phi_square_class
+        assert verdict.member and verdict.a_converged == ((x, True),)
+        assert verdict.note.startswith("decided, not sampled")
+
+    @pytest.mark.parametrize("phi", [RadialExponential(0.6), RadialExponential(0.4 + 0.8j)])
+    def test_a_negative_x_is_refused_for_any_phi(self, phi):
+        with pytest.raises(DomainError, match="x >= 0"):
+            audit_hypotheses(phi, RadialMonomial(0), x_samples=(0.5, -1.0))
+
+    def test_the_worked_example_sits_on_the_circle(self):
+        phi = RadialExponential(LAM_EXAMPLE)
+        report = audit_hypotheses(phi, phi, n_entries=40)
+        for verdict in (report.hyp1_bounded_psi, report.hyp2_product_bounded):
+            assert verdict.bounded
+            assert verdict.growth_rate == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "scale, bounded", [(1.0 - 1e-6, True), (1.0 + 1e-12, True), (1.0 + 1e-6, False)]
+    )
+    def test_the_circle_is_decided_within_its_tolerance(self, scale, bounded):
+        psi = _on_circle(scale * BETA)
+        verdict = audit_hypotheses(RadialMonomial(0), psi).hyp1_bounded_psi
+        assert verdict.bounded is bounded
+        assert verdict.growth_rate == pytest.approx(scale, abs=1e-15)
+        assert verdict.growth_exponent == (None if bounded else 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-12])
+    def test_a_polynomial_factor_on_the_circle_is_unbounded(self, scale):
+        report = audit_hypotheses(_on_circle(scale * BETA), R2)
+        assert not report.hyp2_product_bounded.bounded
+        assert report.hyp2_product_bounded.growth_exponent == 1.0
+        assert report.hyp2_product_bounded.growth_rate == pytest.approx(scale, abs=1e-15)
+
+    def test_merged_coefficients_cancel_only_to_rounding(self):
+        cancelling = [(np.array([0.1 * 0.7]), 2.0), (np.array([-0.07]), 2.0 + 1e-12)]
+        decaying = [(np.array([1.0]), 0.5)]
+        verdict = composition._boundedness(np.ones(4), cancelling + decaying)
+        assert verdict.bounded and verdict.growth_rate == 0.5
+        verdict = composition._boundedness(np.ones(4), [(np.array([1e-20]), 2.0)] + decaying)
+        assert not verdict.bounded and verdict.growth_rate == 2.0
+        # a residue of 1e-10 of the magnitudes is a real coefficient, not rounding
+        residue = [(np.array([1.0]), 2.0), (np.array([-(1.0 - 1e-10)]), 2.0 + 1e-12)]
+        assert not composition._boundedness(np.ones(4), residue + decaying).bounded
 
 
 class TestComposeRadial:

@@ -259,6 +259,15 @@ class TestLadderAndScaling:
         e2 = FockVector([0, 0, 1.0, 0, 0, 0])
         np.testing.assert_allclose(op.apply(e2).coeffs[2], a**3, rtol=1e-14)
 
+    @pytest.mark.parametrize("a", [BETA, 0.3 + 0.4j, 1.7 - 0.2j, -0.9 + 0.05j, 1.0 + 1e-3j])
+    def test_scaling_diagonal_against_mpmath(self, a):
+        diag = scaling_operator(a, 300).diagonal()
+        with mpmath.workdps(40):
+            for n, entry in enumerate(diag):
+                exact = mpmath.mpc(a) ** (n + 1)
+                err = abs(mpmath.mpc(entry) - exact) / abs(exact)
+                assert err <= 4 * (n + 1) * np.finfo(float).eps, (n, float(err))
+
     def test_unit_modulus_scaling_preserves_norms(self):
         op = scaling_operator(BETA, 16)
         np.testing.assert_allclose(np.abs(op.diagonal()), np.ones(16), rtol=1e-13)

@@ -2,6 +2,8 @@
 
 - the diamond product is a γ-homomorphism on polynomial-radial symbols;
 - the heat transforms form a semigroup, ``H_s ∘ H_t = H_{s+t}``;
+- the audit's boundedness verdicts agree with γ evaluated exactly at
+  ``n = 10⁴``;
 - every symbol survives a round trip through its rendered JSON;
 - the one walk over a symbol's terms answers the structural questions
   (radial?, merged terms, polynomial form, class membership, value) exactly
@@ -16,10 +18,12 @@ from __future__ import annotations
 import cmath
 import contextlib
 import io
+import itertools
 import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +36,7 @@ from fock_toeplitz import (
     RadialExponential,
     RadialMonomial,
     SymbolClass,
+    audit_hypotheses,
     diamond,
     evaluate,
     gamma_sequence,
@@ -118,6 +123,68 @@ def test_heat_semigroup_on_exponentials(lam, s, t):
     for z in (0.0, 0.7 - 0.2j, 1.5j, 2.0):
         a, b = evaluate(once, z), evaluate(twice, z)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+# A term of a factor is (c, (m, k, t)): c·r^{2m} when k = 0, else c·e^{λr²}
+# with β = 1/(1−λ) = exp(k/100 + i·t·π/8).  So |log|β|| ≥ 0.01 and every
+# product of rates is again on the grid: equal rates have equal keys (k, t).
+_grid_terms = st.lists(
+    st.tuples(
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.one_of(
+            st.tuples(st.integers(0, 2), st.just(0), st.just(0)),
+            st.tuples(
+                st.just(0),
+                st.one_of(st.integers(-60, -1), st.integers(1, 20)),
+                st.integers(-3, 3),
+            ),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _grid_symbol(terms) -> Combination:
+    def atom(m, k, t):
+        if k == 0:
+            return RadialMonomial(m)
+        return RadialExponential(1.0 - cmath.exp(-complex(k / 100, t * math.pi / 8)))
+
+    return Combination(tuple((c, atom(*key)) for c, key in terms))
+
+
+def _bounded_at_ten_thousand(*factors) -> bool:
+    """Whether the product of the factors' γ stays small at n = 10⁴…10⁴+15.
+
+    Terms of equal key are summed in integers, then each rate is raised in
+    mpmath.  A bounded sequence here is at most Σ|c·d| ≤ 81 in modulus (its
+    decaying part is below e^{−100}·n⁴); an unbounded one has grown by n ≥ 10⁴
+    or by e^{100}, so 10³ separates them.
+    """
+    biggest = 0
+    with mpmath.workdps(30):
+        for n in range(10_000, 10_016):
+            groups: dict[tuple[int, int], int] = {}
+            for combo in itertools.product(*factors):
+                key = (sum(k for _c, (_m, k, _t) in combo), sum(t for _c, (_m, _k, t) in combo))
+                weight = math.prod(
+                    c * math.prod(range(n + 1, n + 1 + m)) for c, (m, _k, _t) in combo
+                )
+                groups[key] = groups.get(key, 0) + weight
+            value = sum(
+                w * mpmath.exp(mpmath.mpf(k) / 100 + 1j * t * mpmath.pi / 8) ** (n + 1)
+                for (k, t), w in groups.items()
+            )
+            biggest = max(biggest, abs(value))
+    return biggest < 1e3
+
+
+@given(_grid_terms, _grid_terms)
+def test_boundedness_verdicts_match_gamma_at_ten_thousand(phi_terms, psi_terms):
+    report = audit_hypotheses(_grid_symbol(phi_terms), _grid_symbol(psi_terms), n_entries=16)
+    assert report.hyp1_bounded_psi.bounded is _bounded_at_ten_thousand(psi_terms)
+    assert report.hyp2_product_bounded.bounded is _bounded_at_ten_thousand(phi_terms, psi_terms)
 
 
 @given(symbols)
