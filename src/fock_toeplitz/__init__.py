@@ -22,15 +22,12 @@ from .composition import (
     CompositionReport,
     ObstructionCase,
     ObstructionVerdict,
-    ReconstructionResult,
     SquareClassVerdict,
     WorkedExampleReport,
     audit_hypotheses,
     audit_worked_example,
     classify_obstruction,
     compose_radial,
-    reconstruct_details,
-    reconstruct_symbol,
 )
 from .errors import (
     AccuracyError,

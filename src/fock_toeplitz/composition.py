@@ -12,10 +12,13 @@ and runs the built-in worked example end to end.
 Every accepted symbol is a finite sum of terms ``c·r^{2m}e^{λr²}``, so its
 γ-sequence, and the product of two, is an exact sum ``Σ P(n)·β^{n+1}`` with
 ``β = 1/(1−λ)`` and polynomial ``P``: the audit decides boundedness from
-those terms, not from a prefix.
+those terms, not from a prefix.  The composed symbol τ and, when τ is one
+exponential term, the exact rate of its Gaussian Wick symbol are read off
+the product of the same terms; nothing is fitted to the prefix.
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -23,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calculus import GaussianWickFit, diamond, fit_gaussian_wick, safe_fit_radius
-from .errors import AccuracyError, DomainError
-from .quadrature import DEFAULT_TOL, GammaSequence, _check_finite, _rising, gamma_sequence
+from .errors import DomainError
+from .quadrature import DEFAULT_TOL, GammaSequence, _check_finite, gamma_sequence
 from .symbols import (
     BivariatePolynomial,
     Combination,
@@ -45,13 +48,10 @@ __all__ = [
     "SquareClassVerdict",
     "ObstructionCase",
     "ObstructionVerdict",
-    "ReconstructionResult",
     "CompositionReport",
     "WorkedExampleReport",
     "audit_hypotheses",
     "compose_radial",
-    "reconstruct_symbol",
-    "reconstruct_details",
     "classify_obstruction",
     "audit_worked_example",
     "DEFAULT_X_SAMPLES",
@@ -199,16 +199,6 @@ def _boundedness(values: np.ndarray, terms) -> BoundednessVerdict:
 # reports
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Outcome of recognizing a γ-sequence within the closed-form families."""
-
-    symbol: Symbol | None
-    family: str | None
-    residual: float | None
-    note: str
-
-
 @dataclass(frozen=True, eq=False)
 class CompositionReport:
     hyp1_bounded_psi: BoundednessVerdict
@@ -218,9 +208,6 @@ class CompositionReport:
     reconstructed_tau: Symbol | None = None
     obstruction: ObstructionVerdict | None = None
     notes: tuple[str, ...] = ()
-    # the Gaussian Wick fit of gamma_tau, whatever its residual; None when it
-    # was not attempted or its series tail was unreachable.  Not serialized.
-    fit: GaussianWickFit | None = None
 
     def to_json(self) -> dict:
         return {
@@ -290,104 +277,43 @@ def audit_hypotheses(
 
 
 # ---------------------------------------------------------------------------
-# reconstruction
-
-
-def _recognize_geometric(values: np.ndarray) -> tuple[complex, float] | None:
-    """Fit ``γ(n) = β^{n+1}``; returns (β, max relative residual) or None."""
-    if np.any(values == 0):
-        return None
-    beta = complex(values[0])
-    n = np.arange(len(values))
-    with np.errstate(all="ignore"):  # an overflowing power leaves a nan residual: no fit
-        predicted = beta ** (n + 1.0)
-        residual = float(np.max(np.abs(values - predicted) / np.abs(predicted)))
-    return beta, residual
-
-
-def _recognize_polynomial(
-    values: np.ndarray, tol: float, max_degree: int = 8
-) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-    """Fit ``γ(n) = Σ_m d_m (n+1)(n+2)…(n+m)`` (rising-factorial basis).
-
-    Solves the square system on the first ``d+1`` entries for each candidate
-    degree and keeps the smallest degree whose residual over the whole
-    prefix is below ``tol``.  Returns that fit's coefficients and residual,
-    then the pruned coefficients and their residual: ``d_m`` is kept where
-    its term moves the fit by more than ``tol``, and each column ``(n+1)_m``
-    peaks at the last n.
-    """
-    scale = max(1.0, float(np.max(np.abs(values))))
-    n1, top = np.arange(1.0, len(values) + 1), min(max_degree, len(values) - 1)
-    full_basis = np.column_stack([_rising(n1, m) for m in range(top + 1)])  # (n+1)_m
-    for degree in range(full_basis.shape[1]):
-        basis = full_basis[:, : degree + 1]
-        head = slice(0, degree + 1)
-        try:
-            coeffs = np.linalg.solve(basis[head, :], values[head])
-        except np.linalg.LinAlgError:
-            continue
-        residual = float(np.max(np.abs(basis @ coeffs - values))) / scale
-        if residual < tol:
-            kept = np.where(np.abs(coeffs) * basis[-1] > tol * scale, coeffs, 0.0)
-            kept_residual = float(np.max(np.abs(basis @ kept - values))) / scale
-            return coeffs, residual, kept, kept_residual
-    return None
-
-
-def reconstruct_details(gamma: GammaSequence, tol: float = 1e-8) -> ReconstructionResult:
-    """Recognize a γ-sequence as polynomial-radial or geometric (exponential).
-
-    A general bounded sequence has no constructive closed-form symbol here;
-    in that case the sequence itself remains the canonical description of
-    the (diagonal) operator and ``symbol`` is None.
-    """
-    values = np.asarray(gamma.values, dtype=complex)
-    if len(values) < 3:
-        return ReconstructionResult(None, None, None, "prefix too short to recognize")
-
-    poly = _recognize_polynomial(values, tol)
-    if poly is not None:
-        _, _, coeffs, residual = poly
-        keep = [(complex(c), m) for m, c in enumerate(coeffs) if c != 0]
-        if not keep:
-            symbol: Symbol = BivariatePolynomial({})
-            return ReconstructionResult(symbol, "polynomial", residual, "zero sequence")
-        if len(keep) == 1 and abs(keep[0][0] - 1.0) <= 1e-10:
-            symbol = RadialMonomial(keep[0][1])
-        else:
-            symbol = Combination(tuple((c, RadialMonomial(m)) for c, m in keep))
-        return ReconstructionResult(symbol, "polynomial", residual, "rising-factorial fit")
-
-    geo = _recognize_geometric(values)
-    if geo is not None:
-        beta, residual = geo
-        if residual < tol:
-            lam = 1.0 - 1.0 / beta
-            if lam.real < 1.0:
-                return ReconstructionResult(
-                    RadialExponential(lam), "geometric", residual, f"beta = {beta}"
-                )
-            return ReconstructionResult(
-                None,
-                "geometric",
-                residual,
-                f"geometric with beta = {beta}, but lambda = 1 - 1/beta has "
-                f"Re(lambda) = {lam.real:g} >= 1: outside the weighted L1 class",
-            )
-
-    return ReconstructionResult(
-        None, None, None, "not recognized; the gamma prefix itself is the canonical datum"
-    )
-
-
-def reconstruct_symbol(gamma: GammaSequence, tol: float = 1e-8) -> Symbol | None:
-    """Closed-form symbol whose γ-sequence matches, when one is recognized."""
-    return reconstruct_details(gamma, tol=tol).symbol
-
-
-# ---------------------------------------------------------------------------
 # composition
+
+
+def _tau_terms(phi: Symbol, psi: Symbol):
+    """The merged :func:`radial_terms` of τ with ``γ_τ = γ_φ·γ_ψ``, or None when
+    a term ``r^{2m}`` (m > 0) meets a term ``e^{μr²}`` (μ ≠ 0): their product
+    ``r^{2m}e^{μr²}`` is no symbol of the family.
+
+    Exponentials multiply their ``β = 1/(1−λ)``, so ``e^{λr²}·e^{μr²}`` gives
+    ``e^{λ_τ r²}`` with ``1 − λ_τ = (1−λ)(1−μ)`` (constants are ``λ = 0``);
+    two monomials give their :func:`diamond` product.  A term whose weight
+    underflows, or whose ``1/β_τ`` overflows, has a γ that underflows and is
+    dropped before it reaches :class:`Combination`.
+    """
+    parts = []
+    for c, m, lam in radial_terms(phi):
+        for d, k, mu in radial_terms(psi):
+            if m == k == 0:
+                rate = (1.0 - lam) * (1.0 - mu)  # 1/β_τ
+                parts.append((c * d if cmath.isfinite(rate) else 0, RadialExponential(1.0 - rate)))
+            elif lam == mu == 0:
+                parts.append((c * d, diamond(RadialMonomial(m), RadialMonomial(k))))
+            else:
+                return None
+    parts = [(w, s) for w, s in parts if w != 0]
+    return radial_terms(Combination(tuple(parts))) if parts else ()
+
+
+def _symbol_of(terms) -> Symbol:
+    """The symbol of merged radial terms: the bare variant for one term of
+    weight 1, a :class:`Combination` for several, the zero symbol for none."""
+    atoms = tuple(
+        (c, RadialMonomial(m) if m or lam == 0 else RadialExponential(lam)) for c, m, lam in terms
+    )
+    if len(atoms) == 1 and atoms[0][0] == 1:
+        return atoms[0][1]
+    return Combination(atoms) if atoms else BivariatePolynomial({})
 
 
 def compose_radial(
@@ -399,47 +325,37 @@ def compose_radial(
 ) -> CompositionReport:
     """Full composition report for ``T_φ T_ψ``.
 
-    The product sequence is always computed; reconstruction is attempted on
-    it, a Gaussian Wick fit feeds the obstruction classifier when it
-    succeeds, and for polynomial-radial factors the diamond product provides
-    an independent cross-check of the γ-homomorphism.
+    τ is read off the product of the factors' terms (:func:`_tau_terms`), and
+    its γ-sequence is checked against the product sequence.  When τ is one
+    term ``c·e^{λ_τ r²}``, inside the weighted L1 class or not, its γ is
+    ``c·μ^{n+1}`` with ``μ = 1/(1−λ_τ)``: the Wick symbol is exactly
+    ``cμ·e^{−(1−μ)r²}``, and ``K = 1 − μ`` is classified.
     """
     report = audit_hypotheses(phi, psi, n_entries=n_entries, x_samples=x_samples, tol=tol)
-    notes: list[str] = []
-
-    recon = reconstruct_details(report.gamma_tau, tol=1e-8)
-    notes.append(f"reconstruction: {recon.note}")
-
-    obstruction: ObstructionVerdict | None = None
-    fit_radius = safe_fit_radius(report.gamma_tau)
-    try:
-        fit = fit_gaussian_wick(report.gamma_tau, r_max=fit_radius)
-    except AccuracyError:  # series tail unreachable even on the adapted grid
-        fit = None
-    if fit is not None and math.isfinite(fit.residual) and fit.residual < 1e-6:
-        obstruction = classify_obstruction(fit.rate)
-        notes.append(
-            "wick symbol fits a Gaussian: amplitude "
-            f"{fit.amplitude:.12g}, rate {fit.rate:.12g}, residual {fit.residual:.3e} "
-            f"on radii up to {fit_radius:.3g}"
+    tau, obstruction, terms = None, None, _tau_terms(phi, psi)
+    if terms is None:
+        note = (
+            "none in the family: a term r^(2m), m > 0, meets a term exp(lambda r^2), "
+            "lambda != 0, and r^(2m) exp(lambda r^2) is not a symbol variant"
         )
-
-    try:
-        tau = diamond(phi, psi)
-    except DomainError:
-        pass  # a factor with exponential content has no polynomial form
+    elif (rho := max((lam.real for _c, _m, lam in terms), default=0.0)) >= 1.0:
+        note = f"the product terms have Re(lambda) = {rho:g} >= 1: outside the weighted L1 class"
     else:
-        gamma_diamond = gamma_sequence(tau, n_entries, tol=tol)
-        deviation = float(np.max(np.abs(gamma_diamond.values - report.gamma_tau.values)))
-        notes.append(
-            f"diamond cross-check: gamma of (phi<>psi) deviates from the "
-            f"gamma product by at most {deviation:.3e}"
+        tau = _symbol_of(terms)
+        check = gamma_sequence(tau, n_entries, tol=tol).values - report.gamma_tau.values
+        note = (
+            "tau read off the factors' terms; its gamma deviates from the gamma "
+            f"product by at most {float(np.max(np.abs(check))):.3e}"
         )
-
-    return replace(
-        report, reconstructed_tau=recon.symbol, obstruction=obstruction,
-        notes=tuple(notes), fit=fit,
-    )
+    notes = [f"reconstruction: {note}"]
+    if terms and len(terms) == 1 and terms[0][1] == 0:
+        c, _m, lam = terms[0]
+        mu = 1.0 / (1.0 - lam)
+        obstruction = classify_obstruction(1.0 - mu)
+        notes.append(
+            f"wick symbol is exactly a Gaussian: amplitude {c * mu:.12g}, rate {1.0 - mu:.12g}"
+        )
+    return replace(report, reconstructed_tau=tau, obstruction=obstruction, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +427,7 @@ def audit_worked_example(n_entries: int = 40, tol: float = DEFAULT_TOL) -> Worke
     modulus_dev = float(np.max(np.abs(np.abs(gamma_closed.values) - 1.0)))
 
     composition = compose_radial(phi, phi, n_entries=n_entries, tol=tol)
-    fit = composition.fit
-    if fit is None:  # fit again so that its error reaches the caller
-        fit = fit_gaussian_wick(
-            composition.gamma_tau, r_max=safe_fit_radius(composition.gamma_tau)
-        )
+    fit = fit_gaussian_wick(composition.gamma_tau, r_max=safe_fit_radius(composition.gamma_tau))
     k = fit.rate
     k_modulus_sq = abs(k) ** 2
     k_two_re = 2.0 * k.real

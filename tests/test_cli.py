@@ -330,6 +330,12 @@ class TestComposeCommand:
         assert payload["tau"] == {"kind": "radial_monomial", "m": 0}
 
 
+    def test_underflowing_weights_give_the_zero_symbol(self, capsys):
+        tiny = '{"kind": "sum", "terms": [{"w": 1e-200, "s": %s}]}' % R2
+        code, out, _ = run_cli(capsys, "compose", "--phi", tiny, "--psi", tiny, "-N", "8")
+        assert code == 0
+        assert json.loads(out)["tau"] == {"kind": "poly", "terms": []}
+
     def test_a_member_phi_converges_at_large_x(self, capsys):
         phi = '{"kind": "radial_exponential", "lambda": {"re": 0.4, "im": 0.8}}'
         code, out, _ = run_cli(

@@ -1,19 +1,17 @@
-"""Tests for the composition audit, reconstruction, and the obstruction
-classifier."""
+"""Tests for the composition audit, the composed symbol τ read off the
+factors' terms, and the obstruction classifier."""
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import poch
 
 from fock_toeplitz import (
     AccuracyError,
     BivariatePolynomial,
     Combination,
     DomainError,
-    GammaSequence,
     NonFiniteResultError,
     ObstructionCase,
     RadialExponential,
@@ -22,14 +20,12 @@ from fock_toeplitz import (
     audit_worked_example,
     classify_obstruction,
     compose_radial,
+    diamond,
     fit_gaussian_wick,
     gamma_sequence,
-    reconstruct_details,
-    reconstruct_symbol,
     toeplitz_matrix,
 )
 from fock_toeplitz import composition
-from fock_toeplitz.composition import _recognize_polynomial
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 BETA = complex(3.0, 4.0) / 5.0
@@ -233,10 +229,13 @@ class TestComposeRadial:
         n = np.arange(48)
         np.testing.assert_allclose(report.gamma_tau.values, (n + 1.0) ** 2, rtol=1e-12)
         tau = report.reconstructed_tau
-        assert tau is not None
+        assert tau == Combination(((-1.0, R2), (1.0, RadialMonomial(2))))
         g_tau = gamma_sequence(tau, 48)
-        np.testing.assert_allclose(g_tau.values, report.gamma_tau.values, rtol=1e-9)
-        assert any("diamond" in note for note in report.notes)
+        np.testing.assert_allclose(g_tau.values, report.gamma_tau.values, rtol=1e-15)
+        assert report.notes == (
+            "reconstruction: tau read off the factors' terms; its gamma deviates "
+            "from the gamma product by at most 0.000e+00",
+        )
 
     @pytest.mark.parametrize(
         "phi, psi",
@@ -247,22 +246,26 @@ class TestComposeRadial:
             (Combination(((1.0, R2), (0.5, RadialMonomial(0)))), R2),
         ],
     )
-    def test_diamond_cross_check_for_polynomial_pairs(self, phi, psi):
+    def test_gamma_check_for_polynomial_pairs(self, phi, psi):
         report = compose_radial(phi, psi, n_entries=12)
-        assert sum("diamond cross-check" in note for note in report.notes) == 1
+        (note,) = report.notes
+        assert note.startswith("reconstruction: tau read off the factors' terms")
+        assert note.endswith("deviates from the gamma product by at most 0.000e+00")
+        assert report.obstruction is None
 
     @pytest.mark.parametrize(
-        "phi, psi",
+        "phi, psi, tau",
         [
-            (RadialExponential(0), R2),  # e^{0·r²} = 1, but written as an exponential
-            (R2, RadialExponential(0)),
-            (RadialExponential(-1.0), RadialExponential(-0.5)),
-            (Combination(((1.0, R2), (1.0, RadialExponential(-1.0)))), R2),
+            (RadialExponential(0), R2, R2),  # e^{0·r²} = 1, but written as an exponential
+            (R2, RadialExponential(0), R2),
+            (RadialExponential(-1.0), RadialExponential(-0.5), RadialExponential(-2.0)),
+            (Combination(((1.0, R2), (1.0, RadialExponential(-1.0)))), R2, None),
         ],
     )
-    def test_no_diamond_cross_check_with_exponential_content(self, phi, psi):
+    def test_exponential_content_reads_tau_from_the_terms(self, phi, psi, tau):
         report = compose_radial(phi, psi, n_entries=12)
-        assert not any("diamond" in note for note in report.notes)
+        assert report.reconstructed_tau == tau
+        assert len(report.notes) == (2 if isinstance(tau, RadialExponential) else 1)
 
     def test_matrix_product_matches_gamma_product(self):
         for phi, psi in [(R2, RadialExponential(-1.0)), (RadialMonomial(2), R2)]:
@@ -307,74 +310,35 @@ class TestComposeRadial:
         assert payload["tau"] == {"kind": "radial_monomial", "m": 0}
 
 
-def recognize_polynomial_per_degree(values, tol, max_degree=8):
-    """Reference: rebuild the rising-factorial basis for every degree."""
-    n_all = np.arange(len(values), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    for degree in range(min(max_degree, len(values) - 1) + 1):
-        basis = np.column_stack([poch(n_all + 1.0, m) for m in range(degree + 1)])
-        head = slice(0, degree + 1)
-        try:
-            coeffs = np.linalg.solve(basis[head, :], values[head])
-        except np.linalg.LinAlgError:
-            continue
-        residual = float(np.max(np.abs(basis @ coeffs - values))) / scale
-        if residual < tol:
-            return coeffs, residual
-    return None
+def tau_of(phi, n_entries=16):
+    """τ of ``T_φ T_1``: the composition with the identity reconstructs φ."""
+    return compose_radial(phi, RadialMonomial(0), n_entries=n_entries).reconstructed_tau
 
 
 class TestReconstruction:
-    @pytest.mark.parametrize("n_entries", [3, 9, 40, 600])
-    def test_polynomial_fit_matches_the_per_degree_rebuild(self, n_entries):
-        rng = np.random.default_rng(n_entries)
-        for _ in range(12):
-            parts = tuple(
-                (complex(*rng.normal(size=2)), RadialMonomial(int(m)))
-                for m in rng.integers(0, 7, size=rng.integers(1, 4))
-            )
-            values = gamma_sequence(Combination(parts), n_entries, method="closed").values
-            for seq in (values, values * (1.0 + 1e-6 * rng.normal(size=n_entries))):
-                got = _recognize_polynomial(seq, 1e-8)
-                want = recognize_polynomial_per_degree(seq, 1e-8)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert got[0].tobytes() == want[0].tobytes()
-                    assert got[1] == want[1]
     def test_constant_sequence(self):
-        assert reconstruct_symbol(gamma_sequence(RadialMonomial(0), 16)) == RadialMonomial(0)
+        assert tau_of(RadialMonomial(0)) == RadialMonomial(0)
 
     def test_single_monomial(self):
-        assert reconstruct_symbol(gamma_sequence(R2, 16)) == R2
+        assert tau_of(R2) == R2
 
     def test_quadratic_combination(self):
-        g = gamma_sequence(RadialMonomial(2), 24)
-        squared = GammaSequence(
-            values=g.values * gamma_sequence(RadialMonomial(0), 24).values,
-            abs_err=g.abs_err,
-            source="synthetic",
-            tol=g.tol,
-            method="closed",
-        )
-        symbol = reconstruct_symbol(squared)
-        np.testing.assert_allclose(
-            gamma_sequence(symbol, 24).values, squared.values, rtol=1e-10
-        )
+        symbol = tau_of(Combination(((2.0, RadialMonomial(2)), (-1.0, R2))), 24)
+        assert symbol == Combination(((-1.0, R2), (2.0, RadialMonomial(2))))
 
     def test_geometric_sequence(self):
         lam = 0.3 - 0.2j
-        symbol = reconstruct_symbol(gamma_sequence(RadialExponential(lam), 32))
+        symbol = tau_of(RadialExponential(lam), 32)
         assert isinstance(symbol, RadialExponential)
-        np.testing.assert_allclose(symbol.lam, lam, rtol=1e-11)
+        np.testing.assert_allclose(symbol.lam, lam, rtol=1e-15)
 
     def test_round_trip_over_random_closed_forms(self):
         rng = np.random.default_rng(20240814)
         for _ in range(6):
             lam = float(rng.uniform(-2.0, 0.8))
-            g = gamma_sequence(RadialExponential(lam), 24)
-            back = reconstruct_symbol(g)
+            back = tau_of(RadialExponential(lam), 24)
             assert isinstance(back, RadialExponential)
-            np.testing.assert_allclose(back.lam, lam, atol=1e-9)
+            assert back.lam == pytest.approx(lam, rel=1e-15, abs=1e-16)
         for _ in range(6):
             weights = rng.integers(-3, 4, size=3)
             if not np.any(weights):
@@ -383,67 +347,87 @@ class TestReconstruction:
                 (float(w), RadialMonomial(m)) for m, w in enumerate(weights) if w != 0
             )
             symbol = Combination(parts)
-            g = gamma_sequence(symbol, 24)
-            back = reconstruct_symbol(g)
-            assert back is not None
-            np.testing.assert_allclose(
-                gamma_sequence(back, 24).values, g.values, rtol=1e-9, atol=1e-9
+            back = tau_of(symbol, 24)
+            np.testing.assert_array_equal(
+                gamma_sequence(back, 24).values, gamma_sequence(symbol, 24).values
             )
 
-    def test_pruning_follows_the_basis_growth(self):
-        # β_φβ_ψ ≈ 1: coefficients of order 1e-10 on (n+1)_3 ~ 2e5 still move
-        # the sequence, so they are kept and the residual is the returned fit's
+    @pytest.mark.parametrize(
+        "phi, psi",
+        [
+            (BivariatePolynomial({}), RadialExponential(-0.5)),
+            # 1/β_τ = (1 + 1e200)² overflows: β_τ^{n+1} underflows to 0
+            (RadialExponential(-1e200), RadialExponential(-1e200)),
+        ],
+    )
+    def test_zero_sequence_is_the_zero_symbol(self, phi, psi):
+        report = compose_radial(phi, psi, n_entries=10)
+        assert report.reconstructed_tau == BivariatePolynomial({})
+        assert report.obstruction is None
+        assert not np.any(report.gamma_tau.values)
+
+
+class TestTauFromTerms:
+    @pytest.mark.parametrize("n_entries", [5, 9])
+    def test_two_gaussians_give_a_gaussian_at_any_truncation(self, n_entries):
+        phi, psi = RadialExponential(-0.5), RadialExponential(-0.3)
+        report = compose_radial(phi, psi, n_entries=n_entries)
+        tau = report.reconstructed_tau
+        assert isinstance(tau, RadialExponential)
+        assert tau.lam == pytest.approx(1.0 - 1.5 * 1.3, abs=1e-15)
+        product = gamma_sequence(phi, 40).values * gamma_sequence(psi, 40).values
+        np.testing.assert_allclose(gamma_sequence(tau, 40).values, product, rtol=1e-14)
+        assert report.obstruction.theta == pytest.approx(1.0 - 1.0 / 1.95, abs=1e-15)
+
+    def test_near_identity_pair_gives_an_exponential(self):
+        # β_φβ_ψ ≈ 1: the γ prefix is nearly polynomial, but τ is the exponential
         phi = RadialExponential(0.0499 + 0.312j)
         psi = RadialExponential(0.0496 - 0.311j)
-        gamma_tau = compose_radial(phi, psi, 58).gamma_tau
-        details = reconstruct_details(gamma_tau)
-        assert details.family == "polynomial" and details.residual < 1e-8
-        miss = np.max(np.abs(gamma_sequence(details.symbol, 58).values - gamma_tau.values))
-        assert miss == pytest.approx(details.residual, rel=1e-6)
-
-    def test_zero_sequence_is_the_zero_symbol(self):
-        g = GammaSequence(
-            values=np.zeros(10, dtype=complex),
-            abs_err=np.zeros(10),
-            source="synthetic",
-            tol=1e-12,
-            method="closed",
+        report = compose_radial(phi, psi, 58)
+        tau = report.reconstructed_tau
+        assert isinstance(tau, RadialExponential)
+        assert tau.lam == pytest.approx(1.0 - (1.0 - phi.lam) * (1.0 - psi.lam), abs=1e-16)
+        np.testing.assert_allclose(
+            gamma_sequence(tau, 58).values, report.gamma_tau.values, rtol=1e-13
         )
-        details = reconstruct_details(g)
-        assert details.note == "zero sequence"
-        assert not np.any(gamma_sequence(details.symbol, 10).values)
 
-    def test_unrecognized_sequence_returns_the_prefix_verdict(self):
-        n = np.arange(24)
-        values = np.exp(1j * np.sqrt(n + 1.0)) / (n + 1.0) ** 0.25
-        g = GammaSequence(
-            values=values,
-            abs_err=np.zeros(24),
-            source="synthetic",
-            tol=1e-12,
-            method="closed",
+    def test_a_sum_of_exponentials_gives_a_combination_of_exponentials(self):
+        phi = Combination(((2.0, RadialExponential(-0.5)), (1.0, RadialExponential(0.2))))
+        report = compose_radial(phi, RadialExponential(-0.3), n_entries=24)
+        tau = report.reconstructed_tau
+        assert isinstance(tau, Combination)
+        assert [w for w, _s in tau.terms] == [2.0, 1.0]
+        assert all(isinstance(s, RadialExponential) for _w, s in tau.terms)
+        np.testing.assert_allclose(
+            gamma_sequence(tau, 24).values, report.gamma_tau.values, rtol=1e-14
         )
-        details = reconstruct_details(g)
-        assert details.symbol is None
-        assert "canonical datum" in details.note
+        assert report.obstruction is None
 
-    def test_geometric_power_past_float64_is_no_fit_and_no_warning(self):
-        # γ(0) ≈ 6.7e9 but the sequence is not geometric: β^{n+1} overflows
-        phi = Combination(((1e10, RadialExponential(-0.5)), (1.0, RadialMonomial(1))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            recon = reconstruct_details(gamma_sequence(phi, 60))
-        assert recon.symbol is None and recon.family is None
+    def test_a_monomial_meeting_an_exponential_has_no_tau(self):
+        phi = Combination(((1.0, R2), (1.0, RadialExponential(-1.0))))
+        report = compose_radial(phi, RadialExponential(-0.5), n_entries=16)
+        assert report.reconstructed_tau is None and report.obstruction is None
+        assert "is not a symbol variant" in report.notes[0]
 
-    def test_short_prefix_is_inconclusive(self):
-        g = GammaSequence(
-            values=np.array([1.0 + 0j, 2.0 + 0j]),
-            abs_err=np.zeros(2),
-            source="synthetic",
-            tol=1e-12,
-            method="closed",
+    def test_a_polynomial_pair_has_the_gamma_of_its_diamond_product(self):
+        p = Combination(((1.5 - 0.5j, RadialMonomial(3)), (0.25j, R2), (-2.0, RadialMonomial(0))))
+        q = Combination(((0.75, RadialMonomial(2)), (1.0 + 1.0j, R2)))
+        report = compose_radial(p, q, n_entries=32)
+        np.testing.assert_allclose(
+            gamma_sequence(report.reconstructed_tau, 32).values,
+            gamma_sequence(diamond(p, q), 32).values,
+            rtol=1e-14,
         )
-        assert reconstruct_details(g).note == "prefix too short to recognize"
+
+    def test_the_obstruction_is_exact_for_one_exponential_term(self):
+        phi = RadialExponential(LAM_EXAMPLE)
+        report = compose_radial(Combination(((3.0, phi),)), phi, n_entries=8)
+        k = 1.0 - BETA**2  # (32 − 24i)/25, on the circle with Re K = 1.28
+        assert report.obstruction.theta == pytest.approx(k, abs=1e-15)
+        assert report.obstruction.case is ObstructionCase.CASE1
+        assert report.notes[1] == (
+            f"wick symbol is exactly a Gaussian: amplitude {3.0 * BETA**2:.12g}, rate {k:.12g}"
+        )
 
 
 class TestWorkedExample:
@@ -470,10 +454,8 @@ class TestWorkedExample:
             return fit_gaussian_wick(*args, **kwargs)
 
         monkeypatch.setattr(composition, "fit_gaussian_wick", counting)
-        report = audit_worked_example(n_entries=24)
+        audit_worked_example(n_entries=24)
         assert len(calls) == 1
-        assert report.fit is report.composition.fit
-        assert "fit" not in report.composition.to_json()
 
     def test_unreachable_fit_still_reaches_the_caller(self, monkeypatch):
         calls = []
@@ -485,7 +467,7 @@ class TestWorkedExample:
         monkeypatch.setattr(composition, "fit_gaussian_wick", unreachable)
         with pytest.raises(AccuracyError, match="unreachable"):
             audit_worked_example(n_entries=24)
-        assert len(calls) == 2  # compose_radial swallows it, the audit does not
+        assert len(calls) == 1  # compose_radial fits nothing
 
     def test_json_report_shape(self):
         payload = audit_worked_example(n_entries=12).to_json()

@@ -2,8 +2,7 @@
 
 ``symbols._log_gamma`` (libm ``lgamma``) feeds every log-space sum: the
 pairwise moments and the A-series terms.  ``quadrature._rising`` gives the
-``(n+1)_m`` of the closed-form γ and the rising-factorial basis of the
-reconstruction.  Both are checked against exact values, not
+``(n+1)_m`` of the closed-form γ.  Both are checked against exact values, not
 against another floating-point implementation.
 """
 from __future__ import annotations
