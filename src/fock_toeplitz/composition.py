@@ -340,21 +340,28 @@ def compose_radial(
         )
     elif (rho := max((lam.real for _c, _m, lam in terms), default=0.0)) >= 1.0:
         note = f"the product terms have Re(lambda) = {rho:g} >= 1: outside the weighted L1 class"
+    elif overflowing := [(m, lam) for c, m, lam in terms if not cmath.isfinite(c)]:
+        m, lam = overflowing[0]
+        term = describe(_symbol_of([(1, m, lam)]))
+        note = f"the weight of tau's term {term} overflows float64"
     else:
         tau = _symbol_of(terms)
-        check = gamma_sequence(tau, n_entries, tol=tol).values - report.gamma_tau.values
+        product = report.gamma_tau.values
+        check = np.abs(gamma_sequence(tau, n_entries, tol=tol).values - product)
         note = (
-            "tau read off the factors' terms; its gamma deviates from the gamma "
-            f"product by at most {float(np.max(np.abs(check))):.3e}"
+            "tau read off the factors' terms; relative to max(1, |gamma|), its gamma "
+            "deviates from the gamma product by at most "
+            f"{float(np.max(check / np.maximum(1.0, np.abs(product)))):.3e}"
         )
     notes = [f"reconstruction: {note}"]
     if terms and len(terms) == 1 and terms[0][1] == 0:
         c, _m, lam = terms[0]
         mu = 1.0 / (1.0 - lam)
         obstruction = classify_obstruction(1.0 - mu)
-        notes.append(
-            f"wick symbol is exactly a Gaussian: amplitude {c * mu:.12g}, rate {1.0 - mu:.12g}"
-        )
+        if cmath.isfinite(c):
+            notes.append(
+                f"wick symbol is exactly a Gaussian: amplitude {c * mu:.12g}, rate {1.0 - mu:.12g}"
+            )
     return replace(report, reconstructed_tau=tau, obstruction=obstruction, notes=tuple(notes))
 
 

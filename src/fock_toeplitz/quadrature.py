@@ -34,6 +34,7 @@ from .errors import DomainError, NonFiniteResultError, RuleConstructionError
 from .symbols import (
     Symbol,
     SymbolClass,
+    _growth_rate,
     _radial_in,
     complex_to_json,
     describe,
@@ -291,10 +292,14 @@ def _ladder(
     alphas: list[float],
     tol: float,
     max_order: int,
+    scales: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-doubling ladders for the unit-normalized integrals of ``f``, one
     per weight exponent in ``alphas``, run in lockstep; returns the values and
-    their ``err``s.
+    their ``err``s.  With longdouble ``scales`` of shape ``(K, len(alphas))``,
+    ``f`` returns ``K`` rows, one per term, and an entry's value and gauge are
+    its rows' sums weighted by its column of ``scales``, before the rounding
+    to float64.
 
     Each rung (order 8, 16, 32, …) evaluates ``f`` once, on the flattened
     ``(entries, order)`` nodes of every entry still climbing, and sums each
@@ -316,8 +321,11 @@ def _ladder(
         fx = np.asarray(f(nodes.ravel()))
         # reshaped after the product, so a scalar fx broadcasts; np.add.reduce
         # along a row is np.sum's pairwise sum of that row alone
-        value = np.add.reduce((weights.ravel() * fx).reshape(nodes.shape), axis=1)
-        gauge = np.add.reduce((weights.real.ravel() * np.abs(fx)).reshape(nodes.shape), axis=1)
+        value = _row_sums(weights.ravel() * fx, nodes.shape)
+        gauge = _row_sums(weights.real.ravel() * np.abs(fx), nodes.shape)
+        if scales is not None:
+            value = np.add.reduce(value * scales[:, active], axis=0)
+            gauge = np.add.reduce(gauge * scales[:, active], axis=0)
         # a sum past float64 reads inf, and inf − inf nan, without a warning
         with np.errstate(all="ignore"):
             value, floor = value.astype(complex), _FLOOR_FACTOR * _EPS_LD * gauge.astype(float)
@@ -339,6 +347,11 @@ def _ladder(
     else:  # a single rung gives no estimate
         values[active] = prev[active]
     return values, errs
+
+
+def _row_sums(products: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The sums of each row of ``shape`` in the last axis of ``products``."""
+    return np.add.reduce(products.reshape(products.shape[:-1] + shape), axis=-1)
 
 
 def integrate_weighted(
@@ -493,7 +506,19 @@ def gamma_sequence(
     # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
     profile = lambda u: radial_profile(symbol, u)  # noqa: E731
     closed_end = _first_overflow(closed)
-    values, abs_err = _ladder(profile, [float(n) for n in range(closed_end)], tol, max_order)
+    scales = None
+    if terms and _growth_rate(terms) < 0:
+        # A decaying term c·e^{λu} has its mass uⁿe^{−(1−Re λ)u} near n/c_λ,
+        # c_λ = 1 − Re λ, where the rule of uⁿe^{−u} has few nodes.  In v = c_λ·u
+        # its γ is c_λ^{−(n+1)}·E_rule[c·e^{λ'v}], λ' = (λ + c_λ − 1)/c_λ.  In
+        # longdouble Re λ' is exactly 0, so a Gaussian's integrand is constant.
+        w, _m, lam = (np.array(col, dtype=_CLD)[:, None] for col in zip(*terms))
+        c = 1 - lam.real
+        rate = (lam + (c - 1)) / c
+        profile = lambda v: w * np.exp(rate * v) if rate.any() else w  # noqa: E731
+        scales = c ** -(np.arange(closed_end, dtype=_LD) + 1)
+    alphas = [float(n) for n in range(closed_end)]
+    values, abs_err = _ladder(profile, alphas, tol, max_order, scales)
     _check_finite("quadrature", values, n_entries)
     return GammaSequence(
         values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"

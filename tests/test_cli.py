@@ -336,6 +336,19 @@ class TestComposeCommand:
         assert code == 0
         assert json.loads(out)["tau"] == {"kind": "poly", "terms": []}
 
+    def test_an_overflowing_tau_weight_leaves_tau_null(self, capsys):
+        # τ = 1e400·e^{λ_τ r²} has a weight past float64, but γ_τ(0) ~ 1e280 is finite
+        gaussian = '{"kind": "radial_exponential", "lambda": -1e60}'
+        big = '{"kind": "sum", "terms": [{"w": 1e200, "s": %s}]}' % gaussian
+        code, out, _ = run_cli(capsys, "compose", "--phi", big, "--psi", big, "-N", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tau"] is None
+        assert payload["notes"][0].startswith("reconstruction: the weight of tau's term exp(")
+        assert payload["notes"][0].endswith(") overflows float64")
+        gammas = [e["gamma"]["re"] for e in payload["gamma_tau"]["entries"]]
+        assert gammas[0] == pytest.approx(1e280, rel=1e-12)
+
     def test_a_member_phi_converges_at_large_x(self, capsys):
         phi = '{"kind": "radial_exponential", "lambda": {"re": 0.4, "im": 0.8}}'
         code, out, _ = run_cli(

@@ -233,9 +233,17 @@ class TestComposeRadial:
         g_tau = gamma_sequence(tau, 48)
         np.testing.assert_allclose(g_tau.values, report.gamma_tau.values, rtol=1e-15)
         assert report.notes == (
-            "reconstruction: tau read off the factors' terms; its gamma deviates "
-            "from the gamma product by at most 0.000e+00",
+            "reconstruction: tau read off the factors' terms; relative to max(1, |gamma|), "
+            "its gamma deviates from the gamma product by at most 0.000e+00",
         )
+
+    def test_gamma_check_is_relative_to_the_entries(self):
+        # γ_τ(n) = 10000^{n+1} reaches 1e120 at N = 30; its absolute deviation is ~1e108
+        phi = RadialExponential(0.99)
+        report = compose_radial(phi, phi, n_entries=30)
+        note = report.notes[0]
+        assert "relative to max(1, |gamma|)" in note
+        assert float(note.rsplit(" ", 1)[1]) <= 1e-10
 
     @pytest.mark.parametrize(
         "phi, psi",

@@ -2,6 +2,9 @@
 
 - the diamond product is a γ-homomorphism on polynomial-radial symbols;
 - the heat transforms form a semigroup, ``H_s ∘ H_t = H_{s+t}``;
+- every quadrature γ of a sum of ``c·r^{2m}`` and ``c·e^{λr²}`` with
+  ``Re λ ≤ 1/2`` is within its ``abs_err`` (plus the float64 rounding of the
+  value) of 40-digit mpmath, fast decays included;
 - the audit's boundedness verdicts agree with γ evaluated exactly at
   ``n = 10⁴``;
 - the composed symbol τ read off the factors' terms has the product
@@ -126,6 +129,66 @@ def test_heat_semigroup_on_exponentials(lam, s, t):
     for z in (0.0, 0.7 - 0.2j, 1.5j, 2.0):
         a, b = evaluate(once, z), evaluate(twice, z)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+_coefficients = st.builds(cmath.rect, st.floats(0.1, 10.0), st.floats(-math.pi, math.pi))
+
+
+def _distinct_terms(atoms):
+    """One to three terms ``(c, atom)`` with distinct atoms: the program merges
+    like terms in float64, and the reference would not."""
+    return st.lists(
+        st.tuples(_coefficients, atoms),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: (t[1].m, 0j) if isinstance(t[1], RadialMonomial) else (0, t[1].lam),
+    )
+
+
+def _exponentials(lo: float, hi: float):
+    return st.builds(RadialExponential, st.builds(complex, st.floats(lo, hi), st.floats(-1.0, 1.0)))
+
+
+# Decaying sums, each term integrated in its rate-matched variable, with real
+# Gaussians drawn apart; then mixes with monomials and growing rates.  A top
+# rate Re λ ≥ 0 keeps the plain rule for every term, and there a decay faster
+# than a ≈ 1.5 is not resolved within abs_err (1 + e^{−4r²} at n = 16), so the
+# mixes decay at a ≤ 1.
+_certified_terms = st.one_of(
+    _distinct_terms(
+        st.one_of(
+            _exponentials(-6.0, -1e-3),
+            st.builds(RadialExponential, st.floats(-6.0, -1e-3).map(complex)),
+        )
+    ),
+    _distinct_terms(
+        st.one_of(_exponentials(-1.0, 0.5), st.builds(RadialMonomial, st.integers(0, 3)))
+    ),
+)
+
+
+def _gamma_mpmath(terms, n: int) -> mpmath.mpc:
+    """γ(n) of ``Σ c·atom`` at the working precision: ``c·(n+1)_m`` for
+    ``r^{2m}``, ``c·(1−λ)^{−(n+1)}`` for ``e^{λr²}``."""
+    return sum(
+        mpmath.mpc(c) * mpmath.rf(n + 1, atom.m)
+        if isinstance(atom, RadialMonomial)
+        else mpmath.mpc(c) * (1 - mpmath.mpc(atom.lam)) ** -(n + 1)
+        for c, atom in terms
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certified_terms, st.integers(1, 43))
+@example([(1.0, RadialExponential(-1.89))], 43)
+@example([(1.0, RadialExponential(-3.0))], 43)
+@example([(1.0, RadialExponential(complex(-6.0, 0.5)))], 43)
+def test_quadrature_abs_err_bounds_the_error(terms, n_entries):
+    g = gamma_sequence(Combination(tuple(terms)), n_entries, method="quadrature")
+    with mpmath.workdps(40):
+        for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
+            ref = _gamma_mpmath(terms, n)
+            assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), n
 
 
 # A term of a factor is (c, (m, k, t)): c·r^{2m} when k = 0, else c·e^{λr²}

@@ -134,10 +134,12 @@ def _mpmath_rule(order: int, alpha: float, seeds: np.ndarray) -> tuple[list, lis
         return nodes, weights
 
 
-def _reference_ladder(f, alpha: float, tol: float, max_order: int):
+def _reference_ladder(f, alpha: float, tol: float, max_order: int, scale=1):
     """``(value, err, stop)`` of the order-doubling ladder for one ``alpha``,
-    summed over the nodes of nonzero weight only; ``stop`` names the branch
-    that ended it."""
+    summed over the nodes of nonzero weight only, each sum and its gauge
+    weighted by ``scale`` before they are rounded to float64 (``f`` then
+    returns one row per entry of ``scale``); ``stop`` names the branch that
+    ended it."""
     order = 8
     prev = None
     best = None
@@ -146,8 +148,8 @@ def _reference_ladder(f, alpha: float, tol: float, max_order: int):
         live = rule.unit_weights > 0
         weights = rule.unit_weights[live].astype(np.clongdouble)
         fx = np.asarray(f(rule.nodes[live]))
-        value = complex(np.sum(weights * fx))
-        gauge = float(np.sum(weights.real * np.abs(fx)).real)
+        value = complex(np.sum(np.sum(weights * fx, axis=-1) * scale))
+        gauge = float(np.sum(np.sum(weights.real * np.abs(fx), axis=-1) * scale).real)
         floor = quadrature._FLOOR_FACTOR * quadrature._EPS_LD * gauge
         if prev is not None:
             est = abs(value - prev)
@@ -176,8 +178,26 @@ def _reference_profile(symbol, u: np.ndarray) -> np.ndarray:
 
 
 def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
-    profile = lambda u: _reference_profile(symbol, u)  # noqa: E731
-    return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
+    """The per-n ladders of γ.  A decaying profile (every Re λ < 0) is summed
+    term by term, each term ``c·e^{λu}`` in ``v = c_λ·u`` with ``c_λ = 1 − Re λ``:
+    ``c_λ^{−(n+1)}·E[c·e^{λ'v}]`` with ``λ' = (λ + c_λ − 1)/c_λ``, in longdouble."""
+    terms = radial_terms(symbol)
+    if max(lam.real for _c, _m, lam in terms) >= 0:
+        profile = lambda u: _reference_profile(symbol, u)  # noqa: E731
+        return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
+    scale = 1 - np.array([lam.real for _c, _m, lam in terms], dtype=np.longdouble)
+    rated = [
+        (np.clongdouble(w), (np.clongdouble(lam) + (c - 1)) / c)
+        for (w, _m, lam), c in zip(terms, scale)
+    ]
+
+    def profile(v):
+        return np.array([w * np.exp(lam * v) for w, lam in rated])
+
+    return [
+        _reference_ladder(profile, float(n), tol, max_order, scale ** np.longdouble(-(n + 1)))
+        for n in range(n_entries)
+    ]
 
 
 class TestBuildRule:
@@ -331,6 +351,13 @@ class TestRuleCache:
         assert build_rule.cache_info().misses == built == 211
         assert np.array_equal(cold.values, warm.values)
         assert np.array_equal(cold.abs_err, warm.abs_err)
+
+    @pytest.mark.parametrize("a", [0.05, 0.9, 1.25, 3.0, 6.0])
+    def test_a_gaussian_builds_the_rules_of_orders_8_and_16_only(self, a):
+        # in the rate-matched variable a Gaussian's integrand is a constant
+        build_rule.cache_clear()
+        gamma_sequence(RadialExponential(-a), 43, method="quadrature")
+        assert build_rule.cache_info().misses == 2 * 43
 
     def test_least_recently_used_rule_is_evicted(self):
         size = quadrature._RULE_CACHE_SIZE
@@ -623,12 +650,15 @@ class TestLockstepLadder:
         # an oscillation the rungs up to 64 do not resolve: its successive
         # differences do not shrink, so some ladders end on an earlier rung
         cases += [(RadialExponential(3j), 45, 1e-12, 64)]
-        # real rates, which the profile takes through the real exp: Gaussians
-        # on both sides of the step near a = 0.9, a signed-zero λ, and sums
-        for a in (0.05, 0.5, 0.9, 1.25, 3.0):
-            cases += [(RadialExponential(-a), 41, 1e-12, 512)]
-        cases += [(RadialExponential(complex(-1.2, -0.0)), 41, 1e-30, 64)]
+        # decaying profiles, integrated in the rate-matched variable: Gaussians,
+        # a signed-zero λ, and a sum of two decays; then sums with real rates,
+        # which the profile takes through the real exp
+        gaussians = [(a, 41, 1e-12, 512) for a in (0.05, 0.5, 0.9, 1.25, 3.0)]
+        gaussians += [(complex(1.2, 0.0), 41, 1e-30, 64)]
+        cases += [(RadialExponential(-a), n, tol, top) for a, n, tol, top in gaussians]
+        two_decays = Combination(((1.0, RadialExponential(-0.3)), (-0.5, RadialExponential(-2 + 0.7j))))
         cases += [
+            (two_decays, 41, 1e-12, 512),
             (Combination(((2.0, RadialMonomial(2)), (1j, RadialExponential(-0.6)))), 41, 1e-12, 512),
             (Combination(((1.0, RadialExponential(-0.3)), (-0.5, RadialExponential(0.2)))), 41, 1e-12, 512),
         ]
@@ -641,6 +671,15 @@ class TestLockstepLadder:
             stops.update(stop for _, _, stop in ref)
         # every way out of a ladder was taken
         assert stops == {"tol", "floor", "max order, last", "max order, earlier", "single rung"}
+        # the Gaussians' bits, refereed by 40-digit mpmath: abs_err bounds each error
+        with mpmath.workdps(40):
+            for a, n_entries, tol, max_order in gaussians:
+                g = gamma_sequence(
+                    RadialExponential(-a), n_entries, tol=tol, method="quadrature", max_order=max_order
+                )
+                for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
+                    ref = (1 + mpmath.mpc(a)) ** -(n + 1)
+                    assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), (a, n)
 
     def test_integrate_weighted_runs_the_same_ladder(self):
         f = lambda u: np.exp(LAM_EXAMPLE * u.astype(np.clongdouble))  # noqa: E731
