@@ -34,7 +34,6 @@ from .errors import DomainError, NonFiniteResultError, RuleConstructionError
 from .symbols import (
     Symbol,
     SymbolClass,
-    _growth_rate,
     _radial_in,
     complex_to_json,
     describe,
@@ -507,15 +506,16 @@ def gamma_sequence(
     profile = lambda u: radial_profile(symbol, u)  # noqa: E731
     closed_end = _first_overflow(closed)
     scales = None
-    if terms and _growth_rate(terms) < 0:
+    if terms and min(lam.real for _c, _m, lam in terms) < 0:
         # A decaying term c·e^{λu} has its mass uⁿe^{−(1−Re λ)u} near n/c_λ,
         # c_λ = 1 − Re λ, where the rule of uⁿe^{−u} has few nodes.  In v = c_λ·u
         # its γ is c_λ^{−(n+1)}·E_rule[c·e^{λ'v}], λ' = (λ + c_λ − 1)/c_λ.  In
         # longdouble Re λ' is exactly 0, so a Gaussian's integrand is constant.
-        w, _m, lam = (np.array(col, dtype=_CLD)[:, None] for col in zip(*terms))
-        c = 1 - lam.real
-        rate = (lam + (c - 1)) / c
-        profile = lambda v: w * np.exp(rate * v) if rate.any() else w  # noqa: E731
+        # Every other term c·u^m e^{λu} has c_λ = 1: its row is the plain one.
+        w, m, lam = (np.array(col, dtype=_CLD)[:, None] for col in zip(*terms))
+        c = np.maximum(1, 1 - lam.real)
+        rate, m = (lam + (c - 1)) / c, m.real.astype(int)
+        profile = lambda v: w * v**m * np.exp(rate * v) if rate.any() or m.any() else w  # noqa: E731
         scales = c ** -(np.arange(closed_end, dtype=_LD) + 1)
     alphas = [float(n) for n in range(closed_end)]
     values, abs_err = _ladder(profile, alphas, tol, max_order, scales)

@@ -178,21 +178,23 @@ def _reference_profile(symbol, u: np.ndarray) -> np.ndarray:
 
 
 def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
-    """The per-n ladders of γ.  A decaying profile (every Re λ < 0) is summed
-    term by term, each term ``c·e^{λu}`` in ``v = c_λ·u`` with ``c_λ = 1 − Re λ``:
-    ``c_λ^{−(n+1)}·E[c·e^{λ'v}]`` with ``λ' = (λ + c_λ − 1)/c_λ``, in longdouble."""
+    """The per-n ladders of γ.  A profile with a decaying term (some Re λ < 0)
+    is summed term by term, each term ``c·u^m e^{λu}`` in ``v = c_λ·u`` with
+    ``c_λ = max(1, 1 − Re λ)``: ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with
+    ``λ' = (λ + c_λ − 1)/c_λ``, in longdouble.  A term with Re λ ≥ 0 has
+    ``c_λ = 1`` and ``λ' = λ``: its row is the plain one."""
     terms = radial_terms(symbol)
-    if max(lam.real for _c, _m, lam in terms) >= 0:
+    if min(lam.real for _c, _m, lam in terms) >= 0:
         profile = lambda u: _reference_profile(symbol, u)  # noqa: E731
         return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
-    scale = 1 - np.array([lam.real for _c, _m, lam in terms], dtype=np.longdouble)
+    scale = np.maximum(1, 1 - np.array([lam.real for _c, _m, lam in terms], dtype=np.longdouble))
     rated = [
-        (np.clongdouble(w), (np.clongdouble(lam) + (c - 1)) / c)
-        for (w, _m, lam), c in zip(terms, scale)
+        (np.clongdouble(w), m, (np.clongdouble(lam) + (c - 1)) / c)
+        for (w, m, lam), c in zip(terms, scale)
     ]
 
     def profile(v):
-        return np.array([w * np.exp(lam * v) for w, lam in rated])
+        return np.array([w * np.power(v, m) * np.exp(lam * v) for w, m, lam in rated])
 
     return [
         _reference_ladder(profile, float(n), tol, max_order, scale ** np.longdouble(-(n + 1)))
@@ -357,6 +359,19 @@ class TestRuleCache:
         # in the rate-matched variable a Gaussian's integrand is a constant
         build_rule.cache_clear()
         gamma_sequence(RadialExponential(-a), 43, method="quadrature")
+        assert build_rule.cache_info().misses == 2 * 43
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            ((2.0, RadialMonomial(2)), (1j, RadialExponential(-0.6))),
+            ((1.0, RadialMonomial(0)), (1.0, RadialExponential(-4.0))),
+        ],
+    )
+    def test_a_decay_beside_a_monomial_builds_the_rules_of_orders_8_and_16_only(self, terms):
+        # the decay in its rate-matched row, the monomial in its plain one
+        build_rule.cache_clear()
+        gamma_sequence(Combination(terms), 43, method="quadrature")
         assert build_rule.cache_info().misses == 2 * 43
 
     def test_least_recently_used_rule_is_evicted(self):
@@ -650,9 +665,11 @@ class TestLockstepLadder:
         # an oscillation the rungs up to 64 do not resolve: its successive
         # differences do not shrink, so some ladders end on an earlier rung
         cases += [(RadialExponential(3j), 45, 1e-12, 64)]
-        # decaying profiles, integrated in the rate-matched variable: Gaussians,
-        # a signed-zero λ, and a sum of two decays; then sums with real rates,
-        # which the profile takes through the real exp
+        # profiles with a decaying term, which is integrated in its rate-matched
+        # variable: Gaussians, a signed-zero λ, a sum of two decays, and decays
+        # beside a monomial, a constant and a growing rate, each in its plain
+        # row; last a sum with a real rate and no decay, which the profile
+        # takes through the real exp
         gaussians = [(a, 41, 1e-12, 512) for a in (0.05, 0.5, 0.9, 1.25, 3.0)]
         gaussians += [(complex(1.2, 0.0), 41, 1e-30, 64)]
         cases += [(RadialExponential(-a), n, tol, top) for a, n, tol, top in gaussians]
@@ -661,6 +678,9 @@ class TestLockstepLadder:
             (two_decays, 41, 1e-12, 512),
             (Combination(((2.0, RadialMonomial(2)), (1j, RadialExponential(-0.6)))), 41, 1e-12, 512),
             (Combination(((1.0, RadialExponential(-0.3)), (-0.5, RadialExponential(0.2)))), 41, 1e-12, 512),
+            (Combination(((1.0, RadialMonomial(0)), (1.0, RadialExponential(-4.0)))), 43, 1e-12, 512),
+            (Combination(((1.0, RadialExponential(0.3)), (2.0, RadialExponential(-5.0)))), 43, 1e-12, 512),
+            (Combination(((1.0, RadialMonomial(1)), (-0.5, RadialExponential(0.2)))), 41, 1e-12, 512),
         ]
         stops = set()
         for symbol, n_entries, tol, max_order in cases:
