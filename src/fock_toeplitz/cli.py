@@ -16,14 +16,14 @@ import cmath
 import io
 import json
 import math
+import numbers
 import os
 import re
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from . import calculus, composition, fock, quadrature, symbols
+from . import symbols
+from .algebra import DEFAULT_X_SAMPLES
 from .errors import AccuracyError, DomainError, NonFiniteResultError
 
 __all__ = ["main", "RunConfig", "parse_complex", "render_json"]
@@ -47,7 +47,7 @@ class RunConfig:
     tol: float = 1e-10
     fmt: str = "json"
     output: str | None = None
-    x_samples: tuple[float, ...] = composition.DEFAULT_X_SAMPLES
+    x_samples: tuple[float, ...] = DEFAULT_X_SAMPLES
 
     def __post_init__(self) -> None:
         if self.truncation < 2:
@@ -84,9 +84,7 @@ def _render(obj, out: list[str]) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -106,6 +104,12 @@ def _render(obj, out: list[str]) -> None:
                 out.append(",")
             _render(v, out)
         out.append("]")
+    # numpy registers its scalar types with these ABCs; they come last, since
+    # a test against an ABC is slower than one against a concrete type
+    elif isinstance(obj, numbers.Integral):
+        out.append(str(int(obj)))
+    elif isinstance(obj, numbers.Real):
+        out.append(_fmt_float(obj))
     else:
         raise TypeError(f"cannot render {type(obj).__name__} deterministically")
 
@@ -229,13 +233,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations; each returns the rendered output text
+# subcommand implementations; each returns the rendered output text and
+# imports only the modules it runs, so classify, heat and diamond load no numpy
 
 
 def _cmd_gamma(args, cfg: RunConfig) -> str:
+    from .quadrature import gamma_sequence
+
     symbol = _load_symbol(args.symbol)
     method = "closed" if args.method == "auto" else args.method  # auto spells closed
-    seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol, method=method)
+    seq = gamma_sequence(symbol, cfg.truncation, tol=cfg.tol, method=method)
     if cfg.fmt == "csv":
         rows = [
             [n, float(v.real), float(v.imag), float(e)]
@@ -251,8 +258,10 @@ def _cmd_matrix(args, cfg: RunConfig) -> str:
             f"matrix truncation {cfg.truncation} exceeds the dense-matrix limit "
             f"MAX_DENSE_TRUNCATION = {MAX_DENSE_TRUNCATION}"
         )
+    from .fock import toeplitz_matrix
+
     symbol = _load_symbol(args.symbol)
-    op = fock.toeplitz_matrix(symbol, cfg.truncation, tol=cfg.tol)
+    op = toeplitz_matrix(symbol, cfg.truncation, tol=cfg.tol)
     if cfg.fmt == "csv":
         rows = [
             [m, n, float(op.entries[m, n].real), float(op.entries[m, n].imag)]
@@ -267,18 +276,22 @@ def _cmd_matrix(args, cfg: RunConfig) -> str:
 
 
 def _cmd_compose(args, cfg: RunConfig) -> str:
+    from .composition import compose_radial
+
     phi = _load_symbol(args.phi)
     psi = _load_symbol(args.psi)
-    report = composition.compose_radial(
+    report = compose_radial(
         phi, psi, n_entries=cfg.truncation, x_samples=cfg.x_samples, tol=cfg.tol
     )
     return render_json(report.to_json())
 
 
 def _cmd_diamond(args, cfg: RunConfig) -> str:
+    from .algebra import diamond
+
     phi = _load_symbol(args.phi)
     psi = _load_symbol(args.psi)
-    result = calculus.diamond(phi, psi)
+    result = diamond(phi, psi)
     return render_json(
         {
             "phi": symbols.symbol_to_json(phi),
@@ -296,10 +309,15 @@ def _cmd_wick(args, cfg: RunConfig) -> str:
         )
     if not math.isfinite(args.r_max):
         raise UsageError(f"--r-max must be finite, got {args.r_max}")
+    import numpy as np
+
+    from .calculus import wick_from_gamma
+    from .quadrature import gamma_sequence
+
     symbol = _load_symbol(args.symbol)
-    seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
+    seq = gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
     radii = np.linspace(0.0, args.r_max, args.points)
-    values = [calculus.wick_from_gamma(seq, float(r), tol=cfg.tol) for r in radii]
+    values = [wick_from_gamma(seq, float(r), tol=cfg.tol) for r in radii]
     if cfg.fmt == "csv":
         rows = [[float(r), v.real, v.imag] for r, v in zip(radii, values)]
         return _render_csv(["r", "re", "im"], rows)
@@ -314,8 +332,10 @@ def _cmd_wick(args, cfg: RunConfig) -> str:
 
 
 def _cmd_heat(args, cfg: RunConfig) -> str:
+    from .algebra import heat_transform
+
     symbol = _load_symbol(args.symbol)
-    result = calculus.heat_transform(symbol, args.t)
+    result = heat_transform(symbol, args.t)
     return render_json(
         {
             "t": args.t,
@@ -326,9 +346,12 @@ def _cmd_heat(args, cfg: RunConfig) -> str:
 
 
 def _cmd_spectrum(args, cfg: RunConfig) -> str:
+    from .fock import spectrum_radial
+    from .quadrature import gamma_sequence
+
     symbol = _load_symbol(args.symbol)
-    seq = quadrature.gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
-    prefix = fock.spectrum_radial(seq)
+    seq = gamma_sequence(symbol, cfg.truncation, tol=cfg.tol)
+    prefix = spectrum_radial(seq)
     return render_json(
         {
             "symbol": symbols.symbol_to_json(symbol),
@@ -339,13 +362,17 @@ def _cmd_spectrum(args, cfg: RunConfig) -> str:
 
 
 def _cmd_classify(args, cfg: RunConfig) -> str:
+    from .algebra import classify_obstruction
+
     theta = parse_complex(args.theta)
-    verdict = composition.classify_obstruction(theta, tol=cfg.tol)
+    verdict = classify_obstruction(theta, tol=cfg.tol)
     return render_json(verdict.to_json())
 
 
 def _cmd_verify_example(args, cfg: RunConfig) -> str:
-    report = composition.audit_worked_example(cfg.truncation, tol=min(cfg.tol, 1e-12))
+    from .composition import audit_worked_example
+
+    report = audit_worked_example(cfg.truncation, tol=min(cfg.tol, 1e-12))
     return render_json(report.to_json())
 
 

@@ -7,7 +7,8 @@ results: a sufficient-condition audit (boundedness of the factor sequences
 plus square-integrability of ``φ`` with a convergent ``A_φ`` series) and an
 obstruction for Gaussian Wick symbols ``e^{−θr²}`` whose parameter ``θ``
 falls in specific regions of the plane.  This module makes both executable
-and runs the built-in worked example end to end.
+and runs the built-in worked example end to end; the classifier itself is
+exact arithmetic, defined in :mod:`fock_toeplitz.algebra` and re-exported.
 
 Every accepted symbol is a finite sum of terms ``c·r^{2m}e^{λr²}``, so its
 γ-sequence, and the product of two, is an exact sum ``Σ P(n)·β^{n+1}`` with
@@ -19,13 +20,20 @@ the product of the same terms; nothing is fitted to the prefix.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calculus import GaussianWickFit, diamond, fit_gaussian_wick, safe_fit_radius
+from .algebra import (
+    _CIRCLE_TOL,
+    DEFAULT_X_SAMPLES,
+    ObstructionCase,
+    ObstructionVerdict,
+    classify_obstruction,
+    diamond,
+)
+from .calculus import GaussianWickFit, fit_gaussian_wick, safe_fit_radius
 from .errors import DomainError
 from .quadrature import DEFAULT_TOL, GammaSequence, _check_finite, gamma_sequence
 from .symbols import (
@@ -56,10 +64,6 @@ __all__ = [
     "audit_worked_example",
     "DEFAULT_X_SAMPLES",
 ]
-
-DEFAULT_X_SAMPLES = (0.5, 1.0, 2.0, 4.0)
-# tolerance of the circle |β| = 1 (and |θ|² = 2 Re θ), and of merging equal rates β
-_CIRCLE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -106,49 +110,6 @@ class SquareClassVerdict:
             "a_series": [{"x": x, "converged": c} for x, c in self.a_converged],
             "note": self.note,
         }
-
-
-class ObstructionCase(enum.Enum):
-    CASE1 = "Case1"
-    CASE2 = "Case2"
-    NONE_ASSERTED = "NoneAsserted"
-
-
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    """Classification of a Gaussian Wick parameter θ.
-
-    ``Case1``: θ on the circle ``|θ|² = 2 Re θ`` with ``Re θ > 1``;
-    ``Case2``: strictly outside that circle, ``|θ|² > 2 Re θ``.  Both imply
-    no bounded Toeplitz operator has Wick symbol ``e^{−θ|z|²}``; anything
-    else asserts nothing.  ``margin`` is the distance from the deciding
-    boundary: ``Re θ − 1`` for Case1, ``|θ|² − 2 Re θ`` for Case2, and the
-    depth inside the circle otherwise.
-    """
-
-    theta: complex
-    case: ObstructionCase
-    margin: float
-
-    def to_json(self) -> dict:
-        return {
-            "theta": complex_to_json(self.theta),
-            "case": self.case.value,
-            "margin": self.margin,
-        }
-
-
-def classify_obstruction(theta: complex, tol: float = _CIRCLE_TOL) -> ObstructionVerdict:
-    """Place θ relative to the obstruction regions with tolerance ``tol``."""
-    theta = complex(theta)
-    circle = abs(theta) ** 2 - 2.0 * theta.real
-    if abs(circle) <= tol and theta.real > 1.0 + tol:
-        return ObstructionVerdict(theta=theta, case=ObstructionCase.CASE1, margin=theta.real - 1.0)
-    if circle > tol:
-        return ObstructionVerdict(theta=theta, case=ObstructionCase.CASE2, margin=circle)
-    return ObstructionVerdict(
-        theta=theta, case=ObstructionCase.NONE_ASSERTED, margin=max(0.0, -circle)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,21 +7,22 @@ of the above.  Restricting to this family keeps every class-membership
 question decidable by inspecting integral convergence conditions instead of
 sampling.
 
-The weighted moment sequence ``q_f`` and the power series ``A_f`` attached to
-a square-integrable radial symbol live here as well, since both are defined
-purely in terms of the symbol.
+The module imports no numpy at load time; :func:`radial_profile`, the one
+vectorized evaluator, imports it when called.
 """
 from __future__ import annotations
 
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .errors import DivergenceError, DomainError, NonFiniteResultError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RadialMonomial",
@@ -31,15 +32,12 @@ __all__ = [
     "Symbol",
     "SymbolClass",
     "MembershipVerdict",
-    "ASeriesResult",
     "is_radial",
     "radial_terms",
     "to_polynomial",
     "evaluate",
     "radial_profile",
     "membership",
-    "q_sequence",
-    "a_series",
     "describe",
     "symbol_to_json",
     "symbol_from_json",
@@ -59,7 +57,8 @@ class RadialMonomial:
     m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+        # int first: it is far cheaper than a test against the ABC, which numpy's ints need
+        if not isinstance(self.m, (int, numbers.Integral)) or self.m < 0:
             raise ValueError(f"monomial exponent must be a nonnegative integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
 
@@ -209,6 +208,8 @@ def radial_profile(symbol: Symbol, u: np.ndarray) -> np.ndarray:
     real rate ``λ`` takes the real ``exp``: on ``np.longdouble`` nodes that
     is the complex one's value bit for bit, on float64 nodes within an ulp.
     """
+    import numpy as np
+
     terms = radial_terms(symbol)
     u = np.asarray(u)
     out = np.zeros(u.shape, dtype=np.result_type(u.dtype, np.complex128))
@@ -293,127 +294,6 @@ def _radial_in(symbol: Symbol, space: SymbolClass, what: str):
             f"{space.value} class, which requires {cond}"
         )
     return terms
-
-
-# ---------------------------------------------------------------------------
-# q-sequence and A-series
-
-
-def _log_gamma(x: np.ndarray) -> np.ndarray:
-    """``log Γ`` of each entry of a float array by libm ``lgamma``; ``inf`` past float64."""
-    try:
-        return np.fromiter(map(math.lgamma, x.tolist()), dtype=float, count=x.size)
-    except OverflowError:
-        return np.fromiter(map(_lgamma_or_inf, x.tolist()), dtype=float, count=x.size)
-
-
-def _lgamma_or_inf(v: float) -> float:
-    try:
-        return math.lgamma(v)
-    except OverflowError:
-        return math.inf
-
-
-def _pairwise_moments(terms, n_entries: int, log_weight) -> np.ndarray:
-    """``Σ_{i,j} ½ c_i c̄_j Γ(p) s^{−p} · e^{log_weight}`` for ``n < n_entries``,
-    with ``p = m_i + m_j + (n+2)/2`` and ``s = 1 − λ_i − λ̄_j``.
-
-    Each term is exponentiated once, after its logarithm is summed, so large
-    moments and small weights may cancel; overflow comes back non-finite,
-    without a warning.  ``log Γ(p)`` for every pair is a slice, starting at
-    ``2(m_i + m_j)``, of one table of ``log Γ((i+2)/2)``.
-    """
-    n = np.arange(n_entries, dtype=float)
-    m_top = max((m for _, m, _ in terms), default=0)
-    half_gammas = _log_gamma((np.arange(n_entries + 4 * m_top) + 2.0) / 2.0)
-    total = np.zeros(n_entries, dtype=complex)
-    with np.errstate(all="ignore"):
-        for ci, mi, lami in terms:
-            for cj, mj, lamj in terms:
-                s = 1.0 - lami - lamj.conjugate()
-                p = mi + mj + (n + 2.0) / 2.0
-                lo = 2 * (mi + mj)
-                log_mag = half_gammas[lo : lo + n_entries] - p * math.log(abs(s)) + log_weight
-                phase = -p * cmath.phase(s)
-                total += 0.5 * ci * cj.conjugate() * np.exp(log_mag + 1j * phase)
-    return total
-
-
-def q_sequence(symbol: Symbol, n_entries: int) -> np.ndarray:
-    """Weighted moments ``q_f(n) = ∫ |f(r)|² e^{−r²} r^{n+1} dr``, n < n_entries.
-
-    Computed in closed form: expanding ``|f|²`` over the radial terms of the
-    symbol gives integrals ``∫ r^{2M+n+1} e^{−s r²} dr = ½ Γ(M + (n+2)/2)
-    s^{−(M+(n+2)/2)}`` with ``s = 1 − λ_i − λ̄_j``, evaluated in log space.
-    """
-    terms = _radial_in(symbol, SymbolClass.L2_INF_WEIGHTED, "q-sequence integrals")
-    total = _pairwise_moments(terms, n_entries, 0.0)
-    if not np.all(np.isfinite(total)):
-        raise NonFiniteResultError("q-sequence overflowed; reduce the number of entries")
-    return np.maximum(total.real, 0.0)
-
-
-@dataclass(frozen=True)
-class ASeriesResult:
-    """Partial sum of ``A_f(x) = Σ x^n q_f(n) / n!`` with a convergence flag.
-
-    ``converged`` is true only when the term ratios over the last eight
-    computed terms all stay below 0.9 and the implied geometric tail bound
-    is below ``tol`` relative to the partial sum.  ``last_ratio`` reports
-    the offending (or final) ratio.
-    """
-
-    value: float
-    converged: bool
-    last_ratio: float | None
-    tail_bound: float | None
-
-
-_RATIO_WINDOW = 8
-_RATIO_MARGIN = 0.9
-
-
-def _a_series_terms(terms, x: float, n_terms: int) -> np.ndarray:
-    """Terms ``q_f(n) x^n / n!`` of the :func:`radial_terms` ``terms``, computed
-    pairwise in log space.
-
-    ``q_f(n)`` alone overflows double precision near ``n ≈ 300`` while the
-    ``x^n/n!`` factor keeps the terms themselves moderate, so the exponents
-    are combined before exponentiating.
-    """
-    n = np.arange(n_terms, dtype=float)
-    total = _pairwise_moments(terms, n_terms, n * math.log(x) - _log_gamma(n + 1.0))
-    if not np.all(np.isfinite(total)):
-        raise NonFiniteResultError("A-series terms overflowed")
-    return total.real
-
-
-def a_series(symbol: Symbol, x: float, n_terms: int = 64, tol: float = 1e-10) -> ASeriesResult:
-    """Evaluate the series ``A_f`` at finite ``x ≥ 0`` with a ratio-test verdict."""
-    if not 0 <= x < math.inf:
-        raise DomainError(f"A-series is defined for finite x >= 0, got {x}")
-    if n_terms < 1:
-        raise DomainError("need at least one term")
-    radial = _radial_in(symbol, SymbolClass.L2_INF_WEIGHTED, "A-series moments")
-    if x == 0.0 or not radial:
-        q0 = float(q_sequence(symbol, 1)[0])
-        return ASeriesResult(value=q0, converged=True, last_ratio=0.0, tail_bound=0.0)
-
-    terms = _a_series_terms(radial, x, n_terms)
-    total = float(np.sum(terms))
-    mags = np.abs(terms)
-    nonzero = mags > 0
-    ratios = mags[1:][nonzero[:-1]] / mags[:-1][nonzero[:-1]]
-
-    window = ratios[-_RATIO_WINDOW:]
-    if len(window) < _RATIO_WINDOW:
-        return ASeriesResult(value=total, converged=False, last_ratio=None, tail_bound=None)
-    rho = float(np.max(window))
-    if rho >= _RATIO_MARGIN:
-        return ASeriesResult(value=total, converged=False, last_ratio=rho, tail_bound=None)
-    tail = float(mags[-1]) * rho / (1.0 - rho)
-    converged = tail < tol * max(1.0, abs(total))
-    return ASeriesResult(value=total, converged=bool(converged), last_ratio=rho, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,17 @@ import sys
 import numpy as np
 import pytest
 
-from fock_toeplitz import DomainError, NonFiniteResultError, cli, composition
+import fock_toeplitz
+from fock_toeplitz import (
+    DomainError,
+    NonFiniteResultError,
+    algebra,
+    calculus,
+    cli,
+    composition,
+    fock,
+    quadrature,
+)
 from fock_toeplitz.cli import ENV_TOL, main, parse_complex, render_json
 
 CONST = '{"kind": "radial_monomial", "m": 0}'
@@ -33,6 +43,13 @@ class TestRendering:
     def test_scalar_types(self):
         text = render_json({"a": None, "b": True, "c": 3, "d": [1.5, "s"]})
         assert text == '{"a":null,"b":true,"c":3,"d":[1.5,"s"]}'
+
+    def test_numpy_scalars_render_as_python_numbers(self):
+        # numpy's scalar types reach the renderer through the numbers ABCs
+        values = [np.int64(3), np.uint8(7), np.float32(0.5), np.float64(0.1), np.longdouble(2)]
+        assert render_json(values) == "[3,7,0.5,0.10000000000000001,2]"
+        with pytest.raises(TypeError):
+            render_json([np.bool_(True)])
 
     def test_insertion_order_is_preserved(self):
         assert render_json({"z": 1, "a": 2}) == '{"z":1,"a":2}'
@@ -268,11 +285,13 @@ class TestJsonOnlyRefusal:
         def fail(*args, **kwargs):
             raise AssertionError("computed before refusing --format csv")
 
-        for name in ("audit_worked_example", "compose_radial", "classify_obstruction"):
+        # each command imports its functions when it runs, from these modules
+        for name in ("audit_worked_example", "compose_radial"):
             monkeypatch.setattr(composition, name, fail)
-        for name in ("diamond", "heat_transform"):
-            monkeypatch.setattr(cli.calculus, name, fail)
-        monkeypatch.setattr(cli.fock, "spectrum_radial", fail)
+        for name in ("classify_obstruction", "diamond", "heat_transform"):
+            monkeypatch.setattr(algebra, name, fail)
+        monkeypatch.setattr(fock, "spectrum_radial", fail)
+        monkeypatch.setattr(quadrature, "gamma_sequence", fail)
 
     @pytest.mark.parametrize(
         "argv",
@@ -677,3 +696,70 @@ class TestDeterminism:
     def test_verify_example_bytes_are_stable(self):
         args = ("verify-paper-example", "-N", "16")
         assert self.cli(*args) == self.cli(*args)
+
+
+class TestImportBoundary:
+    """What a fresh interpreter loads: the exact commands and the bare
+    package import no numpy, and every export still resolves."""
+
+    def fresh(self, code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        return proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--theta", "1.28-0.96i"],
+            ["heat", "--symbol", EXAMPLE, "--t", "0.7"],
+            ["diamond", "--phi", R2, "--psi", R400],
+        ],
+    )
+    def test_exact_commands_load_no_numpy(self, argv):
+        code = (
+            "import contextlib, io, sys\n"
+            "from fock_toeplitz.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        assert self.fresh(code) == "[]\n"
+
+    def test_package_import_loads_no_numeric_module(self):
+        code = (
+            "import sys, fock_toeplitz\n"
+            "print(sorted(m for m in sys.modules if 'numpy' in m or 'fock' in m))"
+        )
+        assert self.fresh(code) == "['fock_toeplitz']\n"
+
+    def test_star_import_binds_every_export(self):
+        code = (
+            "from fock_toeplitz import *\n"
+            "import fock_toeplitz\n"
+            "print(all(globals()[n] is getattr(fock_toeplitz, n) for n in fock_toeplitz.__all__))"
+        )
+        assert self.fresh(code) == "True\n"
+
+    def test_every_export_resolves_and_is_listed(self):
+        listed = dir(fock_toeplitz)
+        for name in fock_toeplitz.__all__:
+            assert getattr(fock_toeplitz, name) is not None, name
+            assert name in listed, name
+        assert "q_sequence" not in fock_toeplitz.__all__
+        with pytest.raises(AttributeError):
+            fock_toeplitz.a_series  # noqa: B018  (retired with the A-series evaluator)
+
+    def test_submodules_resolve_as_attributes(self):
+        code = (
+            "import fock_toeplitz\n"
+            "print(fock_toeplitz.quadrature.__name__, fock_toeplitz.cli.__name__)"
+        )
+        assert self.fresh(code) == "fock_toeplitz.quadrature fock_toeplitz.cli\n"
+
+    def test_reexports_are_the_same_objects(self):
+        assert calculus.diamond is fock_toeplitz.diamond is algebra.diamond
+        assert calculus.heat_transform is fock_toeplitz.heat_transform
+        assert composition.classify_obstruction is fock_toeplitz.classify_obstruction
+        assert composition.ObstructionVerdict is fock_toeplitz.ObstructionVerdict
+        assert composition.DEFAULT_X_SAMPLES is algebra.DEFAULT_X_SAMPLES

@@ -1,9 +1,11 @@
 """The package's log Γ and rising factorial against exact references.
 
-``symbols._log_gamma`` (libm ``lgamma``) feeds every log-space sum: the
-pairwise moments and the A-series terms.  ``quadrature._rising`` gives the
-``(n+1)_m`` of the closed-form γ.  Both are checked against exact values, not
-against another floating-point implementation.
+libm ``lgamma`` has two callers: ``calculus._series_tail``, the tail bound
+``xⁿ/n!·e^s`` of every exponential series, and ``quadrature._gamma_scale``,
+which takes ``Γ(α+1)`` in longdouble for ``α ≥ 170``.  Both are checked at
+the arguments they pass.  ``quadrature._rising`` gives the ``(n+1)_m`` of
+the closed-form γ.  All are checked against exact values or 40-digit mpmath,
+not against another floating-point implementation.
 """
 from __future__ import annotations
 
@@ -18,56 +20,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fock_toeplitz.quadrature import _rising
-from fock_toeplitz.symbols import _log_gamma
+from fock_toeplitz.calculus import _series_tail
+from fock_toeplitz.quadrature import _gamma_scale, _rising
 
 
-def assert_log_gamma_within_4_ulp(x: np.ndarray) -> None:
-    """``|_log_gamma(x) − log Γ(x)| ≤ 4 ulp(max(1, |log Γ(x)|))`` against 40-digit mpmath."""
-    values = _log_gamma(x)
+def assert_lgamma_within_4_ulp(x: np.ndarray) -> None:
+    """``|lgamma(x) − log Γ(x)| ≤ 4 ulp(max(1, |log Γ(x)|))`` against 40-digit mpmath."""
     with mpmath.workdps(40):
-        for xi, v in zip(x.tolist(), values.tolist()):
+        for xi in x.tolist():
+            v = math.lgamma(xi)
             err = abs(mpmath.mpf(v) - mpmath.loggamma(xi))
             assert err <= 4 * np.spacing(max(1.0, abs(v))), (xi, v, float(err))
 
 
-class TestLogGamma:
-    def test_integers_and_half_integers_up_to_2000(self):
-        assert_log_gamma_within_4_ulp(np.arange(2, 4001) / 2.0)
-
-    def test_every_integer_up_to_300000(self):
-        assert_log_gamma_within_4_ulp(np.arange(1, 300_001, dtype=float))
-
-    def test_every_half_integer_up_to_20000(self):
-        assert_log_gamma_within_4_ulp(np.arange(1, 20_000, dtype=float) + 0.5)
-
-    @pytest.mark.parametrize(
-        "x", [1.0, 1.5, 2.0, 2.5, 3.0, 12.5, 13.0, 13.5, 999.5, 1000.0, 1000.5]
-    )
-    def test_scattered_arguments(self, x):
-        assert_log_gamma_within_4_ulp(np.array([x]))
-
-    @pytest.mark.parametrize(
-        "x", [1e5 + 0.5, 1.5e5, 1e6 + 0.5, 1e8, 1e8 + 1, 3.5e9, 2.0**53, 1e300, 2e305]
-    )
-    def test_large_arguments(self, x):
-        assert_log_gamma_within_4_ulp(np.array([x, 7.5]))
-
-    def test_empty_array(self):
-        assert _log_gamma(np.empty(0)).shape == (0,)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(min_value=2, max_value=600_000), min_size=1, max_size=40))
-    def test_random_integers_and_half_integers_up_to_300000(self, halves):
-        assert_log_gamma_within_4_ulp(np.array(halves, dtype=float) / 2.0)
+# n + 1 for every n that a series tail is asked about: every n up to 2048,
+# then a log-spaced sample up to the last doubling of _terms_needed (< 200 000)
+_TAIL_ARGUMENTS = np.unique(
+    np.concatenate([np.arange(1.0, 2050.0), np.geomspace(2048, 200_001, 1000).round()])
+)
 
 
-class TestLogGammaOverflow:
-    def test_overflow_is_inf_not_an_exception(self):
-        # lgamma leaves float64 near 2.6e305; the callers' finiteness checks see inf
-        got = _log_gamma(np.array([2.0, 3e305, 1e305]))
-        assert got[0] == 0.0 and got[1] == np.inf
-        assert got[2] == math.lgamma(1e305)
+# the log of the largest longdouble, past which Γ(α+1) is inf
+_LOG_LD_MAX = float(np.log(np.finfo(np.longdouble).max))
+
+
+class TestLogGammaAtItsCallers:
+    """libm ``lgamma`` at the arguments the package passes it."""
+
+    def test_series_tail_arguments(self):
+        assert_lgamma_within_4_ulp(_TAIL_ARGUMENTS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=200_001), min_size=1, max_size=20))
+    def test_random_series_tail_arguments(self, n):
+        assert_lgamma_within_4_ulp(np.array(n, dtype=float))
+
+    @pytest.mark.parametrize("x, log_scale", [(0.25, 0.0), (3.0, 2.5), (40.0, -30.0), (1e4, 5.0)])
+    def test_series_tail_against_mpmath(self, x, log_scale):
+        # the error of xⁿ/n!·e^s is that of its logarithm, a few ulp of each
+        # part; checked where the value is a normal float64
+        with mpmath.workdps(40):
+            for n in _TAIL_ARGUMENTS[::10].astype(int).tolist():
+                got = _series_tail(x, n, log_scale)
+                ref = mpmath.exp(n * mpmath.log(x) - mpmath.loggamma(n + 1) + log_scale)
+                if not 1e-300 < ref < 1e300:
+                    continue
+                parts = abs(n * math.log(x)) + math.lgamma(n + 1.0) + abs(log_scale) + 1.0
+                assert abs(got - ref) <= 8 * np.finfo(float).eps * parts * ref, (x, n)
+
+    def test_gamma_scale_past_float64(self):
+        # α ≥ 170 takes exp(lgamma(α+1)) in longdouble: the integers and
+        # half-integers up to a factor e^8 below the longdouble limit
+        alphas = np.array(
+            [a / 2.0 for a in range(340, 4000) if math.lgamma(a / 2.0 + 1.0) < _LOG_LD_MAX - 8.0]
+        )
+        assert_lgamma_within_4_ulp(alphas + 1.0)
+        eps_ld = float(np.finfo(np.longdouble).eps)
+        with mpmath.workdps(40):
+            for alpha in alphas.tolist():
+                got = _gamma_scale(alpha)
+                ref = mpmath.gamma(alpha + 1)
+                rel = abs(mpmath.mpf(str(got)) / ref - 1)
+                bound = 4 * np.spacing(math.lgamma(alpha + 1.0)) + 16 * eps_ld
+                assert rel <= bound, (alpha, float(rel))
 
 
 class TestRising:
