@@ -53,6 +53,7 @@ __all__ = [
 _LD = np.longdouble
 _CLD = np.clongdouble
 _EPS_LD = float(np.finfo(_LD).eps)
+_LOG_MAX_LD = np.log(np.finfo(_LD).max)
 
 DEFAULT_TOL = 1e-12
 MAX_ORDER = 512
@@ -101,7 +102,9 @@ def _gamma_scale(alpha: float) -> np.longdouble:
     """``Γ(α+1)`` in longdouble, which holds it past the float64 range."""
     if alpha < 170.0:
         return _LD(math.gamma(alpha + 1.0))
-    return np.exp(_LD(math.lgamma(alpha + 1.0)))
+    log_gamma = _LD(math.lgamma(alpha + 1.0))
+    # past the longdouble range the scale is inf, without an overflow warning
+    return np.exp(log_gamma) if log_gamma < _LOG_MAX_LD else _LD(np.inf)
 
 
 def build_rule(order: int, alpha: float) -> QuadratureRule:

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fock_toeplitz.calculus import _series_tail
-from fock_toeplitz.quadrature import _gamma_scale, _rising
+from fock_toeplitz.calculus import _series_tail, _terms_needed
+from fock_toeplitz.errors import NonFiniteResultError
+from fock_toeplitz.quadrature import _gamma_scale, _rising, integrate_weighted
 
 
 def assert_lgamma_within_4_ulp(x: np.ndarray) -> None:
@@ -83,6 +84,87 @@ class TestLogGammaAtItsCallers:
                 rel = abs(mpmath.mpf(str(got)) / ref - 1)
                 bound = 4 * np.spacing(math.lgamma(alpha + 1.0)) + 16 * eps_ld
                 assert rel <= bound, (alpha, float(rel))
+
+
+def assert_gamma_scale_matches_mpmath(alpha: float) -> None:
+    """``_gamma_scale(α)`` against 40-digit ``Γ(α+1)``: a few ulp of float64
+    below α = 170 (``math.gamma``), and the ``lgamma`` bound of
+    :meth:`TestLogGammaAtItsCallers.test_gamma_scale_past_float64` above."""
+    got = _gamma_scale(alpha)
+    assert isinstance(got, np.longdouble)
+    if alpha < 170.0:
+        bound = 4 * np.finfo(float).eps
+    else:
+        bound = 4 * np.spacing(math.lgamma(alpha + 1.0)) + 16 * float(np.finfo(np.longdouble).eps)
+    with mpmath.workdps(40):
+        rel = abs(mpmath.mpf(str(got)) / mpmath.gamma(mpmath.mpf(alpha) + 1) - 1)
+    assert rel <= bound, (alpha, float(rel))
+
+
+class TestGammaScale:
+    """``Γ(α+1)`` on both sides of the switch from ``math.gamma`` to
+    ``exp(lgamma)`` at α = 170, and past the longdouble range."""
+
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 0.5, 1.0, 12.5, 168.5, 169.0, 169.5, 170.0, 170.5, 999.5, 1754.0]
+    )
+    def test_scattered_arguments(self, alpha):
+        assert_gamma_scale_matches_mpmath(alpha)
+
+    def test_integers_and_half_integers_below_170(self):
+        for h in range(340):
+            assert_gamma_scale_matches_mpmath(h / 2.0)
+
+    def test_overflow_is_inf_not_a_warning(self):
+        # Γ(1756) passes the largest longdouble; the weighted integral then
+        # refuses the value instead of returning inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gamma_scale(1755.0) == np.inf and _gamma_scale(1e6) == np.inf
+            with pytest.raises(NonFiniteResultError, match="overflows"):
+                integrate_weighted(np.ones_like, 1800.0)
+
+
+class TestSeriesTail:
+    """``xⁿ/n! · e^s`` where its logarithm is large: inf from a log bound of
+    700 up, and an underflow to 0 rather than an exception."""
+
+    @pytest.mark.parametrize(
+        "x, n, log_scale",
+        [
+            (1e300, 10, 0.0),
+            (2.0, 10**17, 0.0),
+            (1e-300, 3, 0.0),
+            (1e5, 200_000, 0.0),
+            (1e5, 100_000, -10.0),
+            (650.0, 1, 49.0),
+            (700.0, 1, 0.0),
+            (3.0, 2048, 700.0),
+            (2.0**53, 4, -140.0),
+        ],
+    )
+    def test_large_arguments(self, x, n, log_scale):
+        got = _series_tail(x, n, log_scale)
+        with mpmath.workdps(40):
+            log_ref = n * mpmath.log(x) - mpmath.loggamma(n + 1) + log_scale
+            if log_ref >= 700:
+                assert got == math.inf, (x, n)
+            elif log_ref < -745:
+                assert got == 0.0, (x, n)
+            else:
+                ref = mpmath.exp(log_ref)
+                parts = abs(n * math.log(x)) + math.lgamma(n + 1.0) + abs(log_scale) + 1.0
+                assert abs(got - ref) <= 8 * np.finfo(float).eps * parts * ref, (x, n)
+
+    def test_zero_radius_and_zero_scale_need_no_terms(self):
+        # x = 0 is exact; a zero sequence has log peak −inf and a zero tail
+        assert _series_tail(0.0, 5, 3.0) == 0.0
+        assert _series_tail(4.0, 5, -math.inf) == 0.0
+        assert _terms_needed(lambda n: _series_tail(4.0, n, -math.inf), 5, 1e-12) == 5
+
+    def test_nan_radius_fails_every_bound(self):
+        assert _series_tail(math.nan, 8, 0.0) == math.inf
+        assert _terms_needed(lambda n: _series_tail(math.nan, n, 0.0), 8, 1e-10) is None
 
 
 class TestRising:
