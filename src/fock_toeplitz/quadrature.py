@@ -19,6 +19,8 @@ precision cannot absorb at 1e−9 accuracy.  Rules are therefore refined to
 in ``np.clongdouble``, and the adaptive ladder stops either at the
 requested tolerance or at the computable rounding floor
 ``eps · Σ w|f|`` — whichever comes first — reporting the honest estimate.
+A decaying term (``Re λ < 0``) is summed in ``v = (1−λ)u``, on a ray that
+Cauchy's theorem rotates when ``λ`` is complex, where its row is a constant.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ _LD = np.longdouble
 _CLD = np.clongdouble
 _EPS_LD = float(np.finfo(_LD).eps)
 _LOG_MAX_LD = np.log(np.finfo(_LD).max)
+_UNDERFLOW, _SUBNORMAL = 2.0**-1021, 2.0**-1074  # see _underflow_floor
 
 DEFAULT_TOL = 1e-12
 MAX_ORDER = 512
@@ -298,10 +301,10 @@ def _ladder(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-doubling ladders for the unit-normalized integrals of ``f``, one
     per weight exponent in ``alphas``, run in lockstep; returns the values and
-    their ``err``s.  With longdouble ``scales`` of shape ``(K, len(alphas))``,
-    ``f`` returns ``K`` rows, one per term, and an entry's value and gauge are
-    its rows' sums weighted by its column of ``scales``, before the rounding
-    to float64.
+    their ``err``s.  With (complex) longdouble ``scales`` of shape
+    ``(K, len(alphas))``, ``f`` returns ``K`` rows, one per term, and an
+    entry's value and gauge are its rows' sums weighted by its column of
+    ``scales`` and of ``|scales|``, before the rounding to float64.
 
     Each rung (order 8, 16, 32, …) evaluates ``f`` once, on the flattened
     ``(entries, order)`` nodes of every entry still climbing, and sums each
@@ -317,6 +320,7 @@ def _ladder(
     values, prev, best = (np.zeros(alphas.size, dtype=complex) for _ in range(3))
     errs, best_err = np.full(alphas.size, math.inf), np.full(alphas.size, math.inf)
     active = np.arange(alphas.size)
+    gauges = None if scales is None else np.abs(scales)
     order = 8
     while active.size and order <= max_order:
         nodes, weights = _rung_rules(order, alphas[active].tolist())
@@ -327,7 +331,7 @@ def _ladder(
         gauge = _row_sums(weights.real.ravel() * np.abs(fx), nodes.shape)
         if scales is not None:
             value = np.add.reduce(value * scales[:, active], axis=0)
-            gauge = np.add.reduce(gauge * scales[:, active], axis=0)
+            gauge = np.add.reduce(gauge * gauges[:, active], axis=0)
         # a sum past float64 reads inf, and inf − inf nan, without a warning
         with np.errstate(all="ignore"):
             value, floor = value.astype(complex), _FLOOR_FACTOR * _EPS_LD * gauge.astype(float)
@@ -453,6 +457,13 @@ def _gamma_closed(terms, n_entries: int) -> np.ndarray:
     return out
 
 
+def _underflow_floor(abs_err: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """``abs_err`` raised to at least 2^−1074 where ``magnitude`` is below
+    2^−1021: there both parts of a complex float64 may be subnormal, each
+    rounded to a multiple of 2^−1074 (or to 0), which u·|γ| does not cover."""
+    return np.maximum(abs_err, np.where(magnitude < _UNDERFLOW, _SUBNORMAL, 0.0))
+
+
 def _first_overflow(values: np.ndarray) -> int:
     """Index of the first non-finite entry, or ``len(values)`` if none."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -498,7 +509,8 @@ def gamma_sequence(
     closed = _gamma_closed(terms, n_entries)
     if method == "closed":
         _check_finite("closed-form", closed, n_entries)
-        abs_err = 16.0 * np.finfo(float).eps * np.abs(closed)
+        magnitude = np.abs(closed)
+        abs_err = _underflow_floor(16.0 * np.finfo(float).eps * magnitude, magnitude)
         return GammaSequence(
             values=closed, abs_err=abs_err, source=describe(symbol), tol=tol, method="closed"
         )
@@ -508,21 +520,37 @@ def gamma_sequence(
     # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
     profile = lambda u: radial_profile(symbol, u)  # noqa: E731
     closed_end = _first_overflow(closed)
-    scales = None
+    scales, power_err = None, 0.0
     if terms and min(lam.real for _c, _m, lam in terms) < 0:
-        # A decaying term c·e^{λu} has its mass uⁿe^{−(1−Re λ)u} near n/c_λ,
-        # c_λ = 1 − Re λ, where the rule of uⁿe^{−u} has few nodes.  In v = c_λ·u
-        # its γ is c_λ^{−(n+1)}·E_rule[c·e^{λ'v}], λ' = (λ + c_λ − 1)/c_λ.  In
-        # longdouble Re λ' is exactly 0, so a Gaussian's integrand is constant.
-        # Every other term c·u^m e^{λu} has c_λ = 1: its row is the plain one.
+        # A decaying term c·e^{λu} has its mass uⁿe^{−(1−λ)u} near n/|c_λ|,
+        # c_λ = 1 − λ, where the rule of uⁿe^{−u} has few nodes.  In v = c_λ·u
+        # (a ray rotated by Cauchy's theorem if λ is complex) its γ is
+        # c_λ^{−(n+1)}·E_rule[c·e^{λ'v}], λ' = (λ + c_λ − 1)/c_λ = 0: its row is
+        # c.  Every other term c·u^m e^{λu} has c_λ = 1: its row is the plain one.
+        # A complex power errs by up to eps·(n+1)·|log c_λ|; abs_err adds twice that.
         w, m, lam = (np.array(col, dtype=_CLD)[:, None] for col in zip(*terms))
-        c = np.maximum(1, 1 - lam.real)
+        c = np.where(lam.real < 0, 1 - lam, 1)
         rate, m = (lam + (c - 1)) / c, m.real.astype(int)
-        profile = lambda v: w * v**m * np.exp(rate * v) if rate.any() or m.any() else w  # noqa: E731
-        scales = c ** -(np.arange(closed_end, dtype=_LD) + 1)
+        powered, rated = m[:, 0] > 0, rate[:, 0] != 0
+
+        def profile(v):
+            if not (powered.any() or rated.any()):
+                return w
+            fx = np.repeat(w, v.size, axis=1)
+            fx[powered] *= v ** m[powered]
+            fx[rated] *= np.exp(rate[rated] * v)
+            return fx
+
+        power = -(np.arange(closed_end, dtype=_LD) + 1)
+        scales = c.real ** power
+        if c.imag.any():
+            scales = np.where(c.imag == 0, scales, c ** power)
+            bound = 2 * _EPS_LD * np.abs(w * np.log(c)) * np.abs(scales) * -power
+            power_err = np.add.reduce(np.where(c.imag == 0, 0, bound), axis=0).astype(float)
     alphas = [float(n) for n in range(closed_end)]
     values, abs_err = _ladder(profile, alphas, tol, max_order, scales)
     _check_finite("quadrature", values, n_entries)
+    abs_err = _underflow_floor(abs_err + power_err, np.abs(values))
     return GammaSequence(
         values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"
     )

@@ -4,7 +4,8 @@
 - the heat transforms form a semigroup, ``H_s ∘ H_t = H_{s+t}``;
 - every quadrature γ of a sum of ``c·r^{2m}`` and ``c·e^{λr²}`` with
   ``Re λ ≤ 1/2`` is within its ``abs_err`` (plus the float64 rounding of the
-  value) of 40-digit mpmath, fast decays included;
+  value) of 40-digit mpmath, fast decays included, and so is every entry of
+  a sum of complex decays up to n ≈ 1000, into float64's subnormal range;
 - the audit's boundedness verdicts agree with γ evaluated exactly at
   ``n = 10⁴``;
 - the composed symbol τ read off the factors' terms has the product
@@ -191,6 +192,30 @@ def test_quadrature_abs_err_bounds_the_error(terms, n_entries):
     with mpmath.workdps(40):
         for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
             ref = _gamma_mpmath(terms, n)
+            assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), n
+
+
+_decays = st.builds(
+    RadialExponential,
+    st.builds(complex, st.floats(-6.0, -np.finfo(float).smallest_subnormal), st.floats(-2.5, 2.5)),
+)
+
+
+# Decays alone, Re λ ∈ [−6, 0), up to n ≈ 1000: each rotated row is a
+# constant, so long sequences are cheap, and they reach float64's subnormal
+# range (|1 − λ|^{−(n+1)} < 2^{−1022}), where abs_err bounds the rounding.
+@settings(max_examples=25, deadline=None)
+@given(_distinct_terms(_decays), st.integers(1, 1000))
+@example([(1.0, RadialExponential(complex(-0.3, 0.9)))], 200)
+@example([(1.0, RadialExponential(-3.0))], 700)
+def test_quadrature_abs_err_bounds_the_error_of_decays_into_underflow(terms, n_entries):
+    g = gamma_sequence(Combination(tuple(terms)), n_entries, method="quadrature")
+    with mpmath.workdps(40):
+        betas = [1 / (1 - mpmath.mpc(atom.lam)) for _c, atom in terms]
+        powers = [mpmath.mpc(c) for c, _atom in terms]
+        for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
+            powers = [p * b for p, b in zip(powers, betas)]  # c·(1−λ)^{−(n+1)}
+            ref = sum(powers)
             assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), n
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -149,7 +150,7 @@ def _reference_ladder(f, alpha: float, tol: float, max_order: int, scale=1):
         weights = rule.unit_weights[live].astype(np.clongdouble)
         fx = np.asarray(f(rule.nodes[live]))
         value = complex(np.sum(np.sum(weights * fx, axis=-1) * scale))
-        gauge = float(np.sum(np.sum(weights.real * np.abs(fx), axis=-1) * scale).real)
+        gauge = float(np.sum(np.sum(weights.real * np.abs(fx), axis=-1) * np.abs(scale)))
         floor = quadrature._FLOOR_FACTOR * quadrature._EPS_LD * gauge
         if prev is not None:
             est = abs(value - prev)
@@ -180,26 +181,40 @@ def _reference_profile(symbol, u: np.ndarray) -> np.ndarray:
 def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
     """The per-n ladders of γ.  A profile with a decaying term (some Re λ < 0)
     is summed term by term, each term ``c·u^m e^{λu}`` in ``v = c_λ·u`` with
-    ``c_λ = max(1, 1 − Re λ)``: ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with
-    ``λ' = (λ + c_λ − 1)/c_λ``, in longdouble.  A term with Re λ ≥ 0 has
-    ``c_λ = 1`` and ``λ' = λ``: its row is the plain one."""
+    ``c_λ = 1 − λ`` for a decaying term and ``c_λ = 1`` for any other:
+    ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with ``λ' = (λ + c_λ − 1)/c_λ``, in
+    longdouble.  A real ``c_λ`` is raised by the real power; a complex one by
+    the complex power, whose error ``2·eps_ld·(n+1)·|c·log c_λ|·|c_λ^{−(n+1)}|``
+    is added to ``err``.  A term with Re λ ≥ 0 has ``λ' = λ``: its row is the
+    plain one."""
     terms = radial_terms(symbol)
     if min(lam.real for _c, _m, lam in terms) >= 0:
         profile = lambda u: _reference_profile(symbol, u)  # noqa: E731
         return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
-    scale = np.maximum(1, 1 - np.array([lam.real for _c, _m, lam in terms], dtype=np.longdouble))
-    rated = [
-        (np.clongdouble(w), m, (np.clongdouble(lam) + (c - 1)) / c)
-        for (w, m, lam), c in zip(terms, scale)
-    ]
+    ld, cld = np.longdouble, np.clongdouble
+    rated = []
+    for w, m, lam in terms:
+        c = cld(1) - cld(lam) if lam.real < 0 else cld(1)
+        rated.append((cld(w), m, (cld(lam) + (c - 1)) / c, c))
 
     def profile(v):
-        return np.array([w * np.power(v, m) * np.exp(lam * v) for w, m, lam in rated])
+        return np.array([w * np.power(v, m) * np.exp(lam * v) for w, m, lam, _c in rated])
 
-    return [
-        _reference_ladder(profile, float(n), tol, max_order, scale ** np.longdouble(-(n + 1)))
-        for n in range(n_entries)
-    ]
+    out = []
+    for n in range(n_entries):
+        power = ld(-(n + 1))
+        # the complex power of a one-entry array, as gamma_sequence raises it
+        scale = [
+            c.real**power if c.imag == 0 else np.power(np.array([c]), power)[0] for *_, c in rated
+        ]
+        value, err, stop = _reference_ladder(profile, float(n), tol, max_order, np.array(scale))
+        bounds = [
+            2 * quadrature._EPS_LD * abs(w * np.log(c)) * abs(s) * -power
+            for (w, _m, _lam, c), s in zip(rated, scale)
+            if c.imag != 0
+        ]
+        out.append((value, err + float(sum(bounds)), stop))
+    return out
 
 
 class TestBuildRule:
@@ -354,9 +369,10 @@ class TestRuleCache:
         assert np.array_equal(cold.values, warm.values)
         assert np.array_equal(cold.abs_err, warm.abs_err)
 
-    @pytest.mark.parametrize("a", [0.05, 0.9, 1.25, 3.0, 6.0])
+    @pytest.mark.parametrize("a", [0.05, 0.9, 1.25, 3.0, 6.0, 0.3 - 0.9j, 1.2 + 0.7j, 0.05 - 2j])
     def test_a_gaussian_builds_the_rules_of_orders_8_and_16_only(self, a):
-        # in the rate-matched variable a Gaussian's integrand is a constant
+        # in the rate-matched variable, rotated for a complex rate, the
+        # integrand of a Gaussian e^{−ar²} is a constant
         build_rule.cache_clear()
         gamma_sequence(RadialExponential(-a), 43, method="quadrature")
         assert build_rule.cache_info().misses == 2 * 43
@@ -616,6 +632,16 @@ class TestGammaSequence:
         match = r"overflows float64 at n = 1; request at most 1 entries$"
         with pytest.raises(NonFiniteResultError, match=match):
             gamma_sequence(RadialMonomial(170), 2, method=method)
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed"])
+    def test_an_underflowed_entry_is_not_claimed_exact(self, method):
+        # γ(n) = 4^{−(n+1)} is below float64's normal range from n = 511 on
+        # and rounds to 0 from n = 537 on; abs_err bounds that rounding
+        g = gamma_sequence(RadialExponential(-3.0), 700, method=method)
+        assert g.values[536] != 0 and not g.values[537:].any()
+        assert np.all(g.abs_err[511:] >= 2.0**-1074)
+        for n in range(537, 700):
+            assert Fraction(1, 4 ** (n + 1)) <= Fraction(g.abs_err[n]), n
 
     def test_entries_before_an_overflow_are_finite(self):
         g = gamma_sequence(RadialMonomial(170), 1, method="quadrature")
