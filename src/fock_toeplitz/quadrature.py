@@ -19,8 +19,10 @@ precision cannot absorb at 1e−9 accuracy.  Rules are therefore refined to
 in ``np.clongdouble``, and the adaptive ladder stops either at the
 requested tolerance or at the computable rounding floor
 ``eps · Σ w|f|`` — whichever comes first — reporting the honest estimate.
-A decaying term (``Re λ < 0``) is summed in ``v = (1−λ)u``, on a ray that
-Cauchy's theorem rotates when ``λ`` is complex, where its row is a constant.
+γ is summed term by term, one row per term ``c·r^{2m}e^{λr²}``: a decaying
+term (``Re λ < 0``) in ``v = (1−λ)u``, on a ray that Cauchy's theorem
+rotates when ``λ`` is complex, where its row is a constant; every other
+term in ``v = u``.
 """
 from __future__ import annotations
 
@@ -33,14 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonFiniteResultError, RuleConstructionError
-from .symbols import (
-    Symbol,
-    SymbolClass,
-    _radial_in,
-    complex_to_json,
-    describe,
-    radial_profile,
-)
+from .symbols import Symbol, SymbolClass, _radial_in, complex_to_json, describe
 
 __all__ = [
     "QuadratureRule",
@@ -140,8 +135,8 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha < 0:
-        raise DomainError(f"weight exponent alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise DomainError(f"weight exponent alpha must be finite and >= 0, got {alpha}")
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -297,14 +292,15 @@ def _ladder(
     alphas: list[float],
     tol: float,
     max_order: int,
-    scales: np.ndarray | None = None,
+    scales: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-doubling ladders for the unit-normalized integrals of ``f``, one
     per weight exponent in ``alphas``, run in lockstep; returns the values and
-    their ``err``s.  With (complex) longdouble ``scales`` of shape
-    ``(K, len(alphas))``, ``f`` returns ``K`` rows, one per term, and an
-    entry's value and gauge are its rows' sums weighted by its column of
-    ``scales`` and of ``|scales|``, before the rounding to float64.
+    their ``err``s.  ``f`` returns ``K`` rows, one per term, for the
+    (complex) longdouble ``scales`` of shape ``(K, len(alphas))``: an entry's
+    value and gauge are its rows' sums weighted by its column of ``scales``
+    and of ``|scales|``, before the rounding to float64.  A single integrand
+    is one row with the unit scale.
 
     Each rung (order 8, 16, 32, …) evaluates ``f`` once, on the flattened
     ``(entries, order)`` nodes of every entry still climbing, and sums each
@@ -320,7 +316,7 @@ def _ladder(
     values, prev, best = (np.zeros(alphas.size, dtype=complex) for _ in range(3))
     errs, best_err = np.full(alphas.size, math.inf), np.full(alphas.size, math.inf)
     active = np.arange(alphas.size)
-    gauges = None if scales is None else np.abs(scales)
+    gauges = np.abs(scales)
     order = 8
     while active.size and order <= max_order:
         nodes, weights = _rung_rules(order, alphas[active].tolist())
@@ -329,9 +325,8 @@ def _ladder(
         # along a row is np.sum's pairwise sum of that row alone
         value = _row_sums(weights.ravel() * fx, nodes.shape)
         gauge = _row_sums(weights.real.ravel() * np.abs(fx), nodes.shape)
-        if scales is not None:
-            value = np.add.reduce(value * scales[:, active], axis=0)
-            gauge = np.add.reduce(gauge * gauges[:, active], axis=0)
+        value = np.add.reduce(value * scales, axis=0)
+        gauge = np.add.reduce(gauge * gauges, axis=0)
         # a sum past float64 reads inf, and inf − inf nan, without a warning
         with np.errstate(all="ignore"):
             value, floor = value.astype(complex), _FLOOR_FACTOR * _EPS_LD * gauge.astype(float)
@@ -346,6 +341,7 @@ def _ladder(
                 stop = (est < tol) | (est < floor)
                 values[active[stop]], errs[active[stop]] = value[stop], err[stop]
                 active, value = active[~stop], value[~stop]
+                scales, gauges = scales[:, ~stop], gauges[:, ~stop]
         prev[active] = value
         order *= 2
     if order > 16:
@@ -375,7 +371,7 @@ def integrate_weighted(
     :class:`NonFiniteResultError` is raised when the value overflows float64.
     """
     _check_alpha(alpha)
-    values, errs = _ladder(f, [float(alpha)], tol, max_order)
+    values, errs = _ladder(f, [float(alpha)], tol, max_order, np.ones((1, 1), dtype=_LD))
     scale = float(_gamma_scale(alpha))  # inf past the float64 range
     value = complex(values[0]) * scale
     if not np.isfinite(value):
@@ -502,6 +498,8 @@ def gamma_sequence(
     """
     if n_entries < 1:
         raise DomainError("need at least one gamma entry")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     terms = _radial_in(symbol, SymbolClass.L1_INF_WEIGHTED, "gamma integrals")
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
@@ -518,39 +516,43 @@ def gamma_sequence(
     # Entries from closed_end on overflow float64 even where the ladder's
     # nodes cannot reach the mass that makes them overflow, so they are not
     # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
-    profile = lambda u: radial_profile(symbol, u)  # noqa: E731
+    # Each term w·u^m e^{λu} is one row, the zero symbol one zero row.  A
+    # decaying term has its mass uⁿe^{−(1−λ)u} near n/|c|, c = 1 − λ, where
+    # the rule of uⁿe^{−u} has few nodes.  In v = c·u (a ray rotated by
+    # Cauchy's theorem if λ is complex) its γ is c^{−(n+1)}·E_rule[w·e^{λ'v}],
+    # λ' = (λ + c − 1)/c = 0: its row is w.  Every other term has c = 1 and
+    # the row w·vᵐe^{λv}.  A complex power errs by up to eps·(n+1)·|log c|;
+    # abs_err adds twice that.
     closed_end = _first_overflow(closed)
-    scales, power_err = None, 0.0
-    if terms and min(lam.real for _c, _m, lam in terms) < 0:
-        # A decaying term c·e^{λu} has its mass uⁿe^{−(1−λ)u} near n/|c_λ|,
-        # c_λ = 1 − λ, where the rule of uⁿe^{−u} has few nodes.  In v = c_λ·u
-        # (a ray rotated by Cauchy's theorem if λ is complex) its γ is
-        # c_λ^{−(n+1)}·E_rule[c·e^{λ'v}], λ' = (λ + c_λ − 1)/c_λ = 0: its row is
-        # c.  Every other term c·u^m e^{λu} has c_λ = 1: its row is the plain one.
-        # A complex power errs by up to eps·(n+1)·|log c_λ|; abs_err adds twice that.
-        w, m, lam = (np.array(col, dtype=_CLD)[:, None] for col in zip(*terms))
-        c = np.where(lam.real < 0, 1 - lam, 1)
-        rate, m = (lam + (c - 1)) / c, m.real.astype(int)
-        powered, rated = m[:, 0] > 0, rate[:, 0] != 0
+    power = -(np.arange(closed_end, dtype=_LD) + 1)
+    terms = terms or ((0j, 0, 0j),)
+    rows, scales = [], np.ones((len(terms), closed_end), dtype=_CLD)
+    power_err = np.zeros(closed_end, dtype=_LD)
+    for k, (w, m, lam) in enumerate(terms):
+        w, lam = _CLD(w), _CLD(lam)
+        c = 1 - lam if lam.real < 0 else _CLD(1)
+        rows.append((m, (lam + (c - 1)) / c))
+        if c.imag:
+            scales[k] = c**power
+            power_err += 2 * _EPS_LD * abs(w * np.log(c)) * abs(scales[k]) * -power
+        elif c != 1:
+            scales[k] = c.real**power
+    weights = np.array([[w] for w, _m, _lam in terms], dtype=_CLD)
+    constant = not any(m or rate for m, rate in rows)
 
-        def profile(v):
-            if not (powered.any() or rated.any()):
-                return w
-            fx = np.repeat(w, v.size, axis=1)
-            fx[powered] *= v ** m[powered]
-            fx[rated] *= np.exp(rate[rated] * v)
-            return fx
+    def profile(v):
+        fx = weights if constant else np.repeat(weights, v.size, axis=1)
+        for row, (m, rate) in zip(fx, rows):
+            if m:
+                row *= v.astype(_CLD) ** m
+            if rate:
+                row *= np.exp(rate * v)
+        return fx
 
-        power = -(np.arange(closed_end, dtype=_LD) + 1)
-        scales = c.real ** power
-        if c.imag.any():
-            scales = np.where(c.imag == 0, scales, c ** power)
-            bound = 2 * _EPS_LD * np.abs(w * np.log(c)) * np.abs(scales) * -power
-            power_err = np.add.reduce(np.where(c.imag == 0, 0, bound), axis=0).astype(float)
     alphas = [float(n) for n in range(closed_end)]
     values, abs_err = _ladder(profile, alphas, tol, max_order, scales)
     _check_finite("quadrature", values, n_entries)
-    abs_err = _underflow_floor(abs_err + power_err, np.abs(values))
+    abs_err = _underflow_floor(abs_err + power_err.astype(float), np.abs(values))
     return GammaSequence(
         values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"
     )

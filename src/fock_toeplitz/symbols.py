@@ -204,9 +204,7 @@ def radial_profile(symbol: Symbol, u: np.ndarray) -> np.ndarray:
     """Vectorized ``a(√u)`` for a radial symbol, i.e. the profile in ``u = r²``.
 
     Preserves the floating type of ``u`` (complex result), so extended
-    precision survives when the caller passes ``np.longdouble`` nodes.  A
-    real rate ``λ`` takes the real ``exp``: on ``np.longdouble`` nodes that
-    is the complex one's value bit for bit, on float64 nodes within an ulp.
+    precision survives when the caller passes ``np.longdouble`` nodes.
     """
     import numpy as np
 
@@ -214,13 +212,9 @@ def radial_profile(symbol: Symbol, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u)
     out = np.zeros(u.shape, dtype=np.result_type(u.dtype, np.complex128))
     for c, m, lam in terms:
-        if lam.real and not lam.imag and not m:
-            # e^{λu} as a real array enters the sum as (e + 0i), as 1·e^{λu} did
-            term = np.exp(out.real.dtype.type(lam.real) * u)
-        else:
-            term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
-            if lam != 0:
-                term = term * np.exp(out.dtype.type(lam) * u)
+        term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
+        if lam != 0:
+            term = term * np.exp(out.dtype.type(lam) * u)
         out += out.dtype.type(c) * term
     if not np.all(np.isfinite(out)):
         raise NonFiniteResultError("radial profile evaluation not finite")

@@ -187,6 +187,8 @@ def _gamma_mpmath(terms, n: int) -> mpmath.mpc:
 @example([(1.0, RadialMonomial(0)), (1.0, RadialExponential(-4.0))], 43)
 @example([(1.0, RadialMonomial(1)), (1.0, RadialExponential(-3.0))], 43)
 @example([(0.7, RadialMonomial(2)), (1.3, RadialExponential(complex(-6.0, 0.5)))], 43)
+@example([(1.0, RadialMonomial(1)), (-0.5, RadialExponential(0.2))], 41)
+@example([(1.0, RadialExponential(0.3 + 0.2j)), (0.5, RadialExponential(0.1 - 0.4j))], 41)
 def test_quadrature_abs_err_bounds_the_error(terms, n_entries):
     g = gamma_sequence(Combination(tuple(terms)), n_entries, method="quadrature")
     with mpmath.workdps(40):

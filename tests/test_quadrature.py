@@ -32,7 +32,7 @@ from fock_toeplitz import (
 )
 from fock_toeplitz import quadrature
 from fock_toeplitz.quadrature import DEFAULT_TOL, MAX_ORDER, _build_rules
-from fock_toeplitz.symbols import radial_profile, radial_terms
+from fock_toeplitz.symbols import radial_terms
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 
@@ -167,43 +167,28 @@ def _reference_ladder(f, alpha: float, tol: float, max_order: int, scale=1):
     return (*best, "max order, last" if best[0] == prev else "max order, earlier")
 
 
-def _reference_profile(symbol, u: np.ndarray) -> np.ndarray:
-    """``a(√u)`` with every rate ``λ ≠ 0`` through the complex ``exp``."""
-    out = np.zeros(u.shape, dtype=np.result_type(u.dtype, np.complex128))
-    for c, m, lam in radial_terms(symbol):
-        term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
-        if lam != 0:
-            term = term * np.exp(out.dtype.type(lam) * u)
-        out += out.dtype.type(c) * term
-    return out
-
-
 def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
-    """The per-n ladders of γ.  A profile with a decaying term (some Re λ < 0)
-    is summed term by term, each term ``c·u^m e^{λu}`` in ``v = c_λ·u`` with
-    ``c_λ = 1 − λ`` for a decaying term and ``c_λ = 1`` for any other:
-    ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with ``λ' = (λ + c_λ − 1)/c_λ``, in
-    longdouble.  A real ``c_λ`` is raised by the real power; a complex one by
-    the complex power, whose error ``2·eps_ld·(n+1)·|c·log c_λ|·|c_λ^{−(n+1)}|``
-    is added to ``err``.  A term with Re λ ≥ 0 has ``λ' = λ``: its row is the
-    plain one."""
-    terms = radial_terms(symbol)
-    if min(lam.real for _c, _m, lam in terms) >= 0:
-        profile = lambda u: _reference_profile(symbol, u)  # noqa: E731
-        return [_reference_ladder(profile, float(n), tol, max_order) for n in range(n_entries)]
+    """The per-n ladders of γ, summed term by term: each term ``c·u^m e^{λu}``
+    in ``v = c_λ·u`` with ``c_λ = 1 − λ`` for a decaying term and ``c_λ = 1``
+    for any other, as ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with
+    ``λ' = (λ + c_λ − 1)/c_λ``, in (complex) longdouble.  A real ``c_λ`` is
+    raised by the real power; a complex one by the complex power, whose error
+    ``2·eps_ld·(n+1)·|c·log c_λ|·|c_λ^{−(n+1)}|`` is added to ``err``.  A term
+    with Re λ ≥ 0 has ``λ' = λ``: its row is the plain one."""
     ld, cld = np.longdouble, np.clongdouble
     rated = []
-    for w, m, lam in terms:
+    for w, m, lam in radial_terms(symbol):
         c = cld(1) - cld(lam) if lam.real < 0 else cld(1)
         rated.append((cld(w), m, (cld(lam) + (c - 1)) / c, c))
 
     def profile(v):
+        v = v.astype(cld)
         return np.array([w * np.power(v, m) * np.exp(lam * v) for w, m, lam, _c in rated])
 
     out = []
     for n in range(n_entries):
         power = ld(-(n + 1))
-        # the complex power of a one-entry array, as gamma_sequence raises it
+        # the complex power, as gamma_sequence raises it
         scale = [
             c.real**power if c.imag == 0 else np.power(np.array([c]), power)[0] for *_, c in rated
         ]
@@ -409,7 +394,7 @@ class TestRuleCache:
     def test_a_batch_enters_the_cache_whole(self):
         build_rule.cache_clear()
         profile = lambda u: np.exp(-u)  # noqa: E731
-        quadrature._ladder(profile, [0.0, 1.0, 2.0], 1e-30, 16)
+        quadrature._ladder(profile, [0.0, 1.0, 2.0], 1e-30, 16, np.ones((1, 3)))
         info = build_rule.cache_info()
         assert (info.misses, info.currsize) == (6, 6)
         assert info.hits == 6  # each rung looks its rules up through build_rule
@@ -448,12 +433,16 @@ class TestRuleCache:
 
     def test_profile_is_evaluated_once_per_rung(self, monkeypatch):
         sizes = []
+        ladder = quadrature._ladder
 
-        def counting(symbol, u):
-            sizes.append(u.size)
-            return radial_profile(symbol, u)
+        def counting_ladder(f, *args):
+            def counting(u):
+                sizes.append(u.size)
+                return f(u)
 
-        monkeypatch.setattr(quadrature, "radial_profile", counting)
+            return ladder(counting, *args)
+
+        monkeypatch.setattr(quadrature, "_ladder", counting_ladder)
         symbol = RadialExponential(LAM_EXAMPLE)
         gamma_sequence(symbol, 41, method="quadrature")
         assert 1 < len(sizes) <= 7  # rungs of order 8, 16, …, 512
@@ -643,6 +632,19 @@ class TestGammaSequence:
         for n in range(537, 700):
             assert Fraction(1, 4 ** (n + 1)) <= Fraction(g.abs_err[n]), n
 
+    @pytest.mark.parametrize("method", ["quadrature", "closed"])
+    def test_the_zero_symbol_is_zero_at_the_underflow_floor(self, method):
+        g = gamma_sequence(BivariatePolynomial({}), 5, method=method)
+        assert not g.values.any()
+        assert np.all(g.abs_err == 2.0**-1074)
+        assert g.unreliable == ()
+
+    @pytest.mark.parametrize("method", ["quadrature", "closed"])
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, 0.0, math.inf])
+    def test_tol_must_be_positive_and_finite(self, method, tol):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            gamma_sequence(RadialExponential(-1.0), 4, tol=tol, method=method)
+
     def test_entries_before_an_overflow_are_finite(self):
         g = gamma_sequence(RadialMonomial(170), 1, method="quadrature")
         assert np.isfinite(g.values[0])
@@ -694,8 +696,7 @@ class TestLockstepLadder:
         # profiles with a decaying term, which is integrated in its rate-matched
         # variable: Gaussians, a signed-zero λ, a sum of two decays, and decays
         # beside a monomial, a constant and a growing rate, each in its plain
-        # row; last a sum with a real rate and no decay, which the profile
-        # takes through the real exp
+        # row; last sums with no decaying term, one row per term
         gaussians = [(a, 41, 1e-12, 512) for a in (0.05, 0.5, 0.9, 1.25, 3.0)]
         gaussians += [(complex(1.2, 0.0), 41, 1e-30, 64)]
         cases += [(RadialExponential(-a), n, tol, top) for a, n, tol, top in gaussians]
@@ -707,6 +708,7 @@ class TestLockstepLadder:
             (Combination(((1.0, RadialMonomial(0)), (1.0, RadialExponential(-4.0)))), 43, 1e-12, 512),
             (Combination(((1.0, RadialExponential(0.3)), (2.0, RadialExponential(-5.0)))), 43, 1e-12, 512),
             (Combination(((1.0, RadialMonomial(1)), (-0.5, RadialExponential(0.2)))), 41, 1e-12, 512),
+            (Combination(((1.0, RadialExponential(0.3 + 0.2j)), (0.5, RadialExponential(0.1 - 0.4j)))), 41, 1e-12, 512),
         ]
         stops = set()
         for symbol, n_entries, tol, max_order in cases:
@@ -755,7 +757,7 @@ class TestLockstepLadder:
         try:
             for order, rule in rules.items():
                 quadrature._RULES.put(order, [rule])
-            values, errs = quadrature._ladder(f, [3.0], 1e-30, 16)
+            values, errs = quadrature._ladder(f, [3.0], 1e-30, 16, np.ones((1, 1)))
         finally:
             build_rule.cache_clear()
         assert not extremes & set(seen) and 0.0 in seen
@@ -767,23 +769,13 @@ class TestLockstepLadder:
         assert values[0] == sums[1]
         assert errs[0] >= abs(sums[1] - sums[0])
 
-    def test_real_rate_profile_is_the_complex_one_bit_for_bit(self):
-        u = np.concatenate([build_rule(order, 5.0).nodes for order in (8, 64, 512)])
-        for lam in (-0.05, -0.9, -3.0, 0.4, complex(-1.2, -0.0)):
-            symbol = Combination(((1.5, RadialExponential(lam)), (0.25j, RadialMonomial(1))))
-            got, ref = radial_profile(symbol, u), _reference_profile(symbol, u)
-            assert got.dtype == ref.dtype == np.clongdouble
-            assert np.array_equal(got.real, ref.real) and np.array_equal(got.imag, ref.imag)
-            assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
-        # float64 nodes: numpy's complex128 exp may differ from the real one by an ulp
-        x = np.linspace(0.0, 40.0, 4001)
-        got = radial_profile(RadialExponential(-0.7), x)
-        ref = _reference_profile(RadialExponential(-0.7), x)
-        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
-
     def test_invalid_ladder_arguments(self):
         with pytest.raises(DomainError):
             integrate_weighted(lambda u: u, -0.5)
+        with pytest.raises(DomainError):
+            build_rule(8, math.nan)
+        with pytest.raises(DomainError):
+            integrate_weighted(np.ones_like, math.inf)
         with pytest.raises(DomainError):
             integrate_weighted(lambda u: u, 1.0, max_order=4)
         with pytest.raises(DomainError):
