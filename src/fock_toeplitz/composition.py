@@ -257,7 +257,8 @@ def _tau_terms(phi: Symbol, psi: Symbol):
         for d, k, mu in radial_terms(psi):
             if m == k == 0:
                 rate = (1.0 - lam) * (1.0 - mu)  # 1/β_τ
-                parts.append((c * d if cmath.isfinite(rate) else 0, RadialExponential(1.0 - rate)))
+                if cmath.isfinite(rate):
+                    parts.append((c * d, RadialExponential(1.0 - rate)))
             elif lam == mu == 0:
                 parts.append((c * d, diamond(RadialMonomial(m), RadialMonomial(k))))
             else:

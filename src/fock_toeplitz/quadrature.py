@@ -11,18 +11,17 @@ weight exponent ``α = n``.
 
 Numerical notes.  The quadrature path normalizes the weight to unit mass,
 so the division by ``n!`` never happens explicitly.  For oscillatory
-profiles such as ``e^{λu}`` with complex ``λ`` the integrand alternates in
-sign and the sum cancels down from ``Σ w|f| ≈ (1−Re λ)^{−(n+1)}`` to a
-unit-modulus result; at ``n = 40`` that is a factor ~10⁹, which double
-precision cannot absorb at 1e−9 accuracy.  Rules are therefore refined to
-``np.longdouble`` (Newton-polished nodes, Christoffel weights) and summed
-in ``np.clongdouble``, and the adaptive ladder stops either at the
-requested tolerance or at the computable rounding floor
-``eps · Σ w|f|`` — whichever comes first — reporting the honest estimate.
-γ is summed term by term, one row per term ``c·r^{2m}e^{λr²}``: a decaying
+profiles such as ``e^{λu}`` with complex ``λ`` the sum cancels from
+``Σ w|f| ≈ (1−Re λ)^{−(n+1)}`` to a unit-modulus result, a factor ~10⁹ at
+``n = 40``.  Rules are therefore refined to ``np.longdouble`` and summed in
+``np.clongdouble``, and the adaptive ladder stops at the requested
+tolerance or at the rounding floor ``eps · Σ w|f|``, whichever comes first.
+γ is summed term by term, one row per term ``w·r^{2m}e^{λr²}``: a decaying
 term (``Re λ < 0``) in ``v = (1−λ)u``, on a ray that Cauchy's theorem
 rotates when ``λ`` is complex, where its row is a constant; every other
-term in ``v = u``.
+term in ``v = u``.  Both paths take each scale ``(1−λ)^{−(n+1)}`` from one
+clongdouble power, and bound each term's rounding: the closed forms by
+``16·eps·|term|`` plus twice the power's error.
 """
 from __future__ import annotations
 
@@ -56,6 +55,7 @@ _UNDERFLOW, _SUBNORMAL = 2.0**-1021, 2.0**-1074  # see _underflow_floor
 DEFAULT_TOL = 1e-12
 MAX_ORDER = 512
 _FLOOR_FACTOR = 32.0  # multiples of eps·Σw|f| treated as unreachable
+_GAUGE_FACTOR = 16.0 * float(np.finfo(float).eps)  # closed forms: rounding per |term|
 # Rules kept per process: full ladders (orders 8..512) for ~146 weight
 # exponents, about 80 bytes per node, so ~12 MB when every ladder is full.
 _RULE_CACHE_SIZE = 1024
@@ -437,20 +437,36 @@ def _rising(a: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
-def _gamma_closed(terms, n_entries: int) -> np.ndarray:
-    """Closed-form γ for a sum of terms ``c · r^{2m} e^{λr²}``.
-
-    Each term contributes ``c · (n+1)_m · exp(−(n+m+1)·log(1−λ))``.  No
-    symbol has a term with both ``m > 0`` and ``λ ≠ 0``, so each term is
-    either the rising factorial (the power is exactly 1) or a pure power.
-    Entries that overflow float64 come back non-finite, without a warning.
-    """
+def _gamma_closed(terms, n_entries: int):
+    """Closed-form γ of terms ``w·(n+1)_m·c^{−(n+1)}``, ``c = 1 − λ``, for
+    ``n < n_entries``; its abs_err ``16·eps·Σ_k |term_k|`` plus the bounds; and
+    the ``(len(terms), n_entries)`` scales ``c^{−(n+1)}`` (the clongdouble
+    power, exactly 1 where λ = 0) and bounds ``2·eps_ld·(n+1)·|w·log c|·|scale|``
+    (twice the power's error), which the quadrature path reads too.  No term
+    has both ``m > 0`` and ``λ ≠ 0``: a rising factorial is summed in
+    complex128, a pure power in clongdouble, rounded once.  Entries past
+    float64 come back non-finite, without a warning."""
     n = np.arange(n_entries, dtype=float)
-    out = np.zeros(n_entries, dtype=complex)
-    with np.errstate(all="ignore"):  # overflow is reported below, not warned
-        for c, m, lam in terms:
-            out += c * _rising(n + 1.0, m) * np.exp(-(n + m + 1.0) * np.log(complex(1.0 - lam)))
-    return out
+    power = np.arange(-1, -n_entries - 1, -1, dtype=_LD)
+    scales = np.ones((len(terms), n_entries), dtype=_CLD)
+    bounds = np.zeros((len(terms), n_entries), dtype=_LD)
+    monomials, gauge = np.zeros(n_entries, dtype=complex), np.zeros(n_entries)
+    powers, power_err = np.zeros(n_entries, dtype=_CLD), np.zeros(n_entries, dtype=_LD)
+    with np.errstate(all="ignore"):  # overflow is reported by the caller, not warned
+        for (w, m, lam), scale, bound in zip(terms, scales, bounds):
+            if lam:
+                c = 1 - _CLD(lam)
+                scale[:] = c**power
+                magnitude = abs(scale)
+                bound[:] = 2 * _EPS_LD * abs(_CLD(w) * np.log(c)) * magnitude * -power
+                powers += _CLD(w) * scale
+                power_err += _GAUGE_FACTOR * abs(w) * magnitude + bound
+            else:
+                term = w * _rising(n + 1.0, m)
+                monomials += term
+                gauge += np.abs(term)
+        values = monomials + powers.astype(complex)
+        return values, _GAUGE_FACTOR * gauge + power_err.astype(float), scales, bounds
 
 
 def _underflow_floor(abs_err: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -500,15 +516,14 @@ def gamma_sequence(
         raise DomainError("need at least one gamma entry")
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    terms = _radial_in(symbol, SymbolClass.L1_INF_WEIGHTED, "gamma integrals")
+    terms = _radial_in(symbol, SymbolClass.L1_INF_WEIGHTED, "gamma integrals") or ((0j, 0, 0j),)
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
 
-    closed = _gamma_closed(terms, n_entries)
+    closed, abs_err, scales, bounds = _gamma_closed(terms, n_entries)
     if method == "closed":
         _check_finite("closed-form", closed, n_entries)
-        magnitude = np.abs(closed)
-        abs_err = _underflow_floor(16.0 * np.finfo(float).eps * magnitude, magnitude)
+        abs_err = _underflow_floor(abs_err, np.abs(closed))
         return GammaSequence(
             values=closed, abs_err=abs_err, source=describe(symbol), tol=tol, method="closed"
         )
@@ -516,27 +531,16 @@ def gamma_sequence(
     # Entries from closed_end on overflow float64 even where the ladder's
     # nodes cannot reach the mass that makes them overflow, so they are not
     # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
-    # Each term w·u^m e^{λu} is one row, the zero symbol one zero row.  A
-    # decaying term has its mass uⁿe^{−(1−λ)u} near n/|c|, c = 1 − λ, where
-    # the rule of uⁿe^{−u} has few nodes.  In v = c·u (a ray rotated by
-    # Cauchy's theorem if λ is complex) its γ is c^{−(n+1)}·E_rule[w·e^{λ'v}],
-    # λ' = (λ + c − 1)/c = 0: its row is w.  Every other term has c = 1 and
-    # the row w·vᵐe^{λv}.  A complex power errs by up to eps·(n+1)·|log c|;
-    # abs_err adds twice that.
+    # Each term w·u^m e^{λu} is one row.  A decaying term has its mass
+    # uⁿe^{−(1−λ)u} near n/|c|, c = 1 − λ, where the rule of uⁿe^{−u} has few
+    # nodes; in v = c·u (a ray rotated by Cauchy's theorem if λ is complex)
+    # its row is the constant w, with the closed form's scale and bound.
+    # Every other term has c = 1 and the row w·vᵐe^{λv}.
     closed_end = _first_overflow(closed)
-    power = -(np.arange(closed_end, dtype=_LD) + 1)
-    terms = terms or ((0j, 0, 0j),)
-    rows, scales = [], np.ones((len(terms), closed_end), dtype=_CLD)
-    power_err = np.zeros(closed_end, dtype=_LD)
-    for k, (w, m, lam) in enumerate(terms):
-        w, lam = _CLD(w), _CLD(lam)
-        c = 1 - lam if lam.real < 0 else _CLD(1)
-        rows.append((m, (lam + (c - 1)) / c))
-        if c.imag:
-            scales[k] = c**power
-            power_err += 2 * _EPS_LD * abs(w * np.log(c)) * abs(scales[k]) * -power
-        elif c != 1:
-            scales[k] = c.real**power
+    decays = np.array([lam.real < 0 for _w, _m, lam in terms])
+    rows = [(m, 0 if decay else _CLD(lam)) for (_w, m, lam), decay in zip(terms, decays)]
+    scales = np.where(decays[:, None], scales[:, :closed_end], 1)
+    power_err = np.add.reduce(bounds[decays, :closed_end])
     weights = np.array([[w] for w, _m, _lam in terms], dtype=_CLD)
     constant = not any(m or rate for m, rate in rows)
 

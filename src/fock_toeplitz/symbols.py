@@ -70,7 +70,10 @@ class RadialExponential:
     lam: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", complex(self.lam))
+        lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise ValueError(f"exponential rate must be finite, got {lam!r}")
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,13 @@ class TestComposeCommand:
         assert code == 0
         assert json.loads(out)["tau"] == {"kind": "poly", "terms": []}
 
+    def test_an_overflowing_tau_rate_gives_the_zero_symbol(self, capsys):
+        # 1 − λ_τ = (1 + 1e200)² overflows: τ's γ underflows, and τ is dropped
+        gaussian = '{"kind": "radial_exponential", "lambda": -1e200}'
+        code, out, _ = run_cli(capsys, "compose", "--phi", gaussian, "--psi", gaussian, "-N", "4")
+        assert code == 0
+        assert json.loads(out)["tau"] == {"kind": "poly", "terms": []}
+
     def test_an_overflowing_tau_weight_leaves_tau_null(self, capsys):
         # τ = 1e400·e^{λ_τ r²} has a weight past float64, but γ_τ(0) ~ 1e280 is finite
         gaussian = '{"kind": "radial_exponential", "lambda": -1e60}'
@@ -515,8 +522,16 @@ class TestExitCodes:
             '{"kind": "poly", "terms": [{"j": 1e400, "k": 0}]}',
             '{"kind": "sum", "terms": [{"w": 1, "s": {"kind": "radial_monomial", "m": 0}}, 5]}',
             '{"kind": "sum", "terms": [{"w": 1, "s": ' * 1500 + CONST + "}]}" * 1500,
+            '{"kind": "radial_exponential", "lambda": {"re": -1, "im": Infinity}}',
+            '{"kind": "radial_exponential", "lambda": -Infinity}',
         ],
-        ids=["infinite-power", "sum-term-not-an-object", "nested-1500-deep"],
+        ids=[
+            "infinite-power",
+            "sum-term-not-an-object",
+            "nested-1500-deep",
+            "infinite-imaginary-rate",
+            "minus-infinite-rate",
+        ],
     )
     def test_malformed_symbol_is_usage_error(self, capsys, symbol):
         code, out, err = run_cli(capsys, "gamma", "--symbol", symbol)

@@ -189,8 +189,11 @@ def _gamma_mpmath(terms, n: int) -> mpmath.mpc:
 @example([(0.7, RadialMonomial(2)), (1.3, RadialExponential(complex(-6.0, 0.5)))], 43)
 @example([(1.0, RadialMonomial(1)), (-0.5, RadialExponential(0.2))], 41)
 @example([(1.0, RadialExponential(0.3 + 0.2j)), (0.5, RadialExponential(0.1 - 0.4j))], 41)
-def test_quadrature_abs_err_bounds_the_error(terms, n_entries):
-    g = gamma_sequence(Combination(tuple(terms)), n_entries, method="quadrature")
+# λ = 1 − 11^{−1/11}: the two terms cancel at n = 10, so a bound on |γ| misses
+@example([(0.7 + 0.3j, RadialMonomial(1)), (-0.7 - 0.3j, RadialExponential(0.19586690249633565))], 16)
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_gamma_abs_err_bounds_the_error(method, terms, n_entries):
+    g = gamma_sequence(Combination(tuple(terms)), n_entries, method=method)
     with mpmath.workdps(40):
         for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
             ref = _gamma_mpmath(terms, n)
@@ -218,6 +221,36 @@ def test_quadrature_abs_err_bounds_the_error_of_decays_into_underflow(terms, n_e
         for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
             powers = [p * b for p, b in zip(powers, betas)]  # c·(1−λ)^{−(n+1)}
             ref = sum(powers)
+            assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), n
+
+
+# Rates with |1 − λ| ≥ 0.71 keep |γ| below about 1e298 up to n = 2000.
+_long_rates = st.builds(complex, st.floats(-3.0, 0.5), st.floats(-1.0, 1.0)).filter(
+    lambda lam: abs(1 - lam) >= 0.71
+)
+
+
+# The closed forms over long sequences, where the power (1 − λ)^{−(n+1)}
+# carries the error; the quadrature ladders of oscillatory terms are too slow
+# at these n.  The rates of the first three examples missed the flat bound
+# 16·eps·|γ| in most entries when the power was taken in float64, and
+# e^{−1e308 r²} rounded γ(0) into the subnormal range twice.
+@settings(max_examples=20, deadline=None)
+@given(
+    _distinct_terms(
+        st.one_of(st.builds(RadialExponential, _long_rates), st.builds(RadialMonomial, st.integers(0, 3)))
+    ),
+    st.integers(1, 2000),
+)
+@example([(1.0, RadialExponential(0.4 + 0.8j))], 1500)
+@example([(1.0, RadialExponential(-0.3 + 0.9j))], 1500)
+@example([(1.0, RadialExponential(-0.01 + 0.02j))], 1500)
+@example([(1.0, RadialExponential(-1e308))], 4)
+def test_closed_abs_err_bounds_the_error_of_long_sequences(terms, n_entries):
+    g = gamma_sequence(Combination(tuple(terms)), n_entries, method="closed")
+    with mpmath.workdps(40):
+        for n, (v, e) in enumerate(zip(g.values, g.abs_err)):
+            ref = _gamma_mpmath(terms, n)
             assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), n
 
 

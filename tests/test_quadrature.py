@@ -171,8 +171,8 @@ def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
     """The per-n ladders of γ, summed term by term: each term ``c·u^m e^{λu}``
     in ``v = c_λ·u`` with ``c_λ = 1 − λ`` for a decaying term and ``c_λ = 1``
     for any other, as ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with
-    ``λ' = (λ + c_λ − 1)/c_λ``, in (complex) longdouble.  A real ``c_λ`` is
-    raised by the real power; a complex one by the complex power, whose error
+    ``λ' = (λ + c_λ − 1)/c_λ``, in (complex) longdouble.  ``c_λ`` is raised by
+    the complex power, real or not, whose error
     ``2·eps_ld·(n+1)·|c·log c_λ|·|c_λ^{−(n+1)}|`` is added to ``err``.  A term
     with Re λ ≥ 0 has ``λ' = λ``: its row is the plain one."""
     ld, cld = np.longdouble, np.clongdouble
@@ -188,15 +188,12 @@ def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
     out = []
     for n in range(n_entries):
         power = ld(-(n + 1))
-        # the complex power, as gamma_sequence raises it
-        scale = [
-            c.real**power if c.imag == 0 else np.power(np.array([c]), power)[0] for *_, c in rated
-        ]
+        # the complex power of a one-entry array, as gamma_sequence raises it
+        scale = [np.power(np.array([c]), power)[0] for *_, c in rated]
         value, err, stop = _reference_ladder(profile, float(n), tol, max_order, np.array(scale))
         bounds = [
             2 * quadrature._EPS_LD * abs(w * np.log(c)) * abs(s) * -power
             for (w, _m, _lam, c), s in zip(rated, scale)
-            if c.imag != 0
         ]
         out.append((value, err + float(sum(bounds)), stop))
     return out

@@ -45,6 +45,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RadialMonomial(2.0)
 
+    @pytest.mark.parametrize("lam", [complex(-1, math.inf), -math.inf, math.nan])
+    def test_exponential_rejects_a_non_finite_rate(self, lam):
+        with pytest.raises(ValueError, match="exponential rate must be finite"):
+            RadialExponential(lam)
+
     def test_polynomial_prunes_zero_coefficients(self):
         p = BivariatePolynomial({(1, 1): 1.0, (2, 0): 0.0})
         assert set(p.coefficients) == {(1, 1)}
