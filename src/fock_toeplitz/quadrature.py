@@ -437,36 +437,38 @@ def _rising(a: np.ndarray, m: int) -> np.ndarray:
     return r
 
 
+def _scale(w, lam, power):
+    """``c^{power}``, ``c = 1 − λ`` formed in clongdouble, and a bound on the error of
+    ``w·c^{power}``, ``2·|power|·(eps_ld·|w·log c| + |w·δ/c|)·|c^{power}|``: twice the power's
+    error and that of ``c``'s rounding ``δ``, found exactly by TwoSum (0 if ``1 − Re λ`` fits)."""
+    c, w = 1 - _CLD(lam), _CLD(w)
+    back = c.real - 1
+    delta = (1 - (c.real - back)) + (-lam.real - back)
+    scale = c**power
+    return scale, 2 * (_EPS_LD * abs(w * np.log(c)) + abs(w * delta / c)) * abs(scale) * -power
+
+
 def _gamma_closed(terms, n_entries: int):
-    """Closed-form γ of terms ``w·(n+1)_m·c^{−(n+1)}``, ``c = 1 − λ``, for
-    ``n < n_entries``; its abs_err ``16·eps·Σ_k |term_k|`` plus the bounds; and
-    the ``(len(terms), n_entries)`` scales ``c^{−(n+1)}`` (the clongdouble
-    power, exactly 1 where λ = 0) and bounds ``2·eps_ld·(n+1)·|w·log c|·|scale|``
-    (twice the power's error), which the quadrature path reads too.  No term
-    has both ``m > 0`` and ``λ ≠ 0``: a rising factorial is summed in
-    complex128, a pure power in clongdouble, rounded once.  Entries past
-    float64 come back non-finite, without a warning."""
+    """Closed-form γ of terms ``w·(n+1)_m·(1−λ)^{−(n+1)}``, ``n < n_entries``, and its
+    abs_err, ``16·eps·Σ_k |term_k|`` plus the bounds of :func:`_scale`.  No term has both
+    ``m > 0`` and ``λ ≠ 0``: rising factorials are summed in complex128, scales in
+    clongdouble and rounded once.  Entries past float64 come back non-finite, unwarned."""
     n = np.arange(n_entries, dtype=float)
     power = np.arange(-1, -n_entries - 1, -1, dtype=_LD)
-    scales = np.ones((len(terms), n_entries), dtype=_CLD)
-    bounds = np.zeros((len(terms), n_entries), dtype=_LD)
     monomials, gauge = np.zeros(n_entries, dtype=complex), np.zeros(n_entries)
     powers, power_err = np.zeros(n_entries, dtype=_CLD), np.zeros(n_entries, dtype=_LD)
     with np.errstate(all="ignore"):  # overflow is reported by the caller, not warned
-        for (w, m, lam), scale, bound in zip(terms, scales, bounds):
+        for w, m, lam in terms:
             if lam:
-                c = 1 - _CLD(lam)
-                scale[:] = c**power
-                magnitude = abs(scale)
-                bound[:] = 2 * _EPS_LD * abs(_CLD(w) * np.log(c)) * magnitude * -power
-                powers += _CLD(w) * scale
-                power_err += _GAUGE_FACTOR * abs(w) * magnitude + bound
+                scale, bound = _scale(w, lam, power)
+                powers += w * scale
+                power_err += _GAUGE_FACTOR * abs(w) * abs(scale) + bound
             else:
                 term = w * _rising(n + 1.0, m)
                 monomials += term
                 gauge += np.abs(term)
         values = monomials + powers.astype(complex)
-        return values, _GAUGE_FACTOR * gauge + power_err.astype(float), scales, bounds
+        return values, _GAUGE_FACTOR * gauge + power_err.astype(float)
 
 
 def _underflow_floor(abs_err: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -520,27 +522,29 @@ def gamma_sequence(
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
 
-    closed, abs_err, scales, bounds = _gamma_closed(terms, n_entries)
+    closed, abs_err = _gamma_closed(terms, n_entries)
     if method == "closed":
         _check_finite("closed-form", closed, n_entries)
         abs_err = _underflow_floor(abs_err, np.abs(closed))
-        return GammaSequence(
-            values=closed, abs_err=abs_err, source=describe(symbol), tol=tol, method="closed"
-        )
+        return GammaSequence(closed, abs_err, source=describe(symbol), tol=tol, method="closed")
 
     # Entries from closed_end on overflow float64 even where the ladder's
     # nodes cannot reach the mass that makes them overflow, so they are not
     # integrated.  Unit weights already divide by Γ(n+1): each sum is γ(n).
-    # Each term w·u^m e^{λu} is one row.  A decaying term has its mass
-    # uⁿe^{−(1−λ)u} near n/|c|, c = 1 − λ, where the rule of uⁿe^{−u} has few
-    # nodes; in v = c·u (a ray rotated by Cauchy's theorem if λ is complex)
-    # its row is the constant w, with the closed form's scale and bound.
-    # Every other term has c = 1 and the row w·vᵐe^{λv}.
+    # Each term w·u^m e^{λu} is one row.  A decaying term has its mass near
+    # n/|c|, c = 1 − λ, where the rule of uⁿe^{−u} has few nodes; in v = c·u
+    # (a ray rotated by Cauchy's theorem if λ is complex) its row is the
+    # constant w, with the closed form's scale.  Other rows are w·vᵐe^{λv}.
     closed_end = _first_overflow(closed)
-    decays = np.array([lam.real < 0 for _w, _m, lam in terms])
-    rows = [(m, 0 if decay else _CLD(lam)) for (_w, m, lam), decay in zip(terms, decays)]
-    scales = np.where(decays[:, None], scales[:, :closed_end], 1)
-    power_err = np.add.reduce(bounds[decays, :closed_end])
+    power = np.arange(-1, -closed_end - 1, -1, dtype=_LD)
+    rows, scales = [], np.ones((len(terms), closed_end), dtype=_CLD)
+    power_err = np.zeros(closed_end, dtype=_LD)
+    for (w, m, lam), scale in zip(terms, scales):
+        if lam.real < 0:
+            scale[:], bound = _scale(w, lam, power)
+            power_err += bound
+            lam = 0
+        rows.append((m, _CLD(lam)))
     weights = np.array([[w] for w, _m, _lam in terms], dtype=_CLD)
     constant = not any(m or rate for m, rate in rows)
 
@@ -557,6 +561,4 @@ def gamma_sequence(
     values, abs_err = _ladder(profile, alphas, tol, max_order, scales)
     _check_finite("quadrature", values, n_entries)
     abs_err = _underflow_floor(abs_err + power_err.astype(float), np.abs(values))
-    return GammaSequence(
-        values=values, abs_err=abs_err, source=describe(symbol), tol=tol, method="quadrature"
-    )
+    return GammaSequence(values, abs_err, source=describe(symbol), tol=tol, method="quadrature")

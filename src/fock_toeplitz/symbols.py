@@ -70,10 +70,9 @@ class RadialExponential:
     lam: complex
 
     def __post_init__(self) -> None:
-        lam = complex(self.lam)
-        if not cmath.isfinite(lam):
-            raise ValueError(f"exponential rate must be finite, got {lam!r}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", complex(self.lam))
+        if not cmath.isfinite(self.lam):
+            raise ValueError(f"exponential rate must be finite, got {self.lam!r}")
 
 
 @dataclass(frozen=True)

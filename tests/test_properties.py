@@ -254,6 +254,18 @@ def test_closed_abs_err_bounds_the_error_of_long_sequences(terms, n_entries):
             assert abs(mpmath.mpc(v) - ref) <= e + 2.0**-53 * abs(ref), n
 
 
+# 1 − λ needs 87 bits for λ = −1e−10, so clongdouble rounds c = 1 − λ by up to
+# 2^−64 relative, an error of up to (n+1)·2^−64 in γ(n) whatever |log c| is.
+# Past n ≈ 67 000 that exceeds 16·eps·|γ|; every 997th entry is checked.
+@pytest.mark.parametrize("lam", [-1e-10, complex(-3e-7, 1e-9), 1e-12])
+def test_closed_abs_err_bounds_the_rounding_of_one_minus_lambda(lam):
+    g = gamma_sequence(RadialExponential(lam), 200_000, method="closed")
+    with mpmath.workdps(40):
+        for n in range(0, len(g), 997):
+            ref = (1 - mpmath.mpc(lam)) ** -(n + 1)
+            assert abs(mpmath.mpc(g.values[n]) - ref) <= g.abs_err[n] + 2.0**-53 * abs(ref), n
+
+
 # A term of a factor is (c, (m, k, t)): c·r^{2m} when k = 0, else c·e^{λr²}
 # with β = 1/(1−λ) = exp(k/100 + i·t·π/8).  So |log|β|| ≥ 0.01 and every
 # product of rates is again on the grid: equal rates have equal keys (k, t).

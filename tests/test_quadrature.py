@@ -171,31 +171,29 @@ def _reference_gamma(symbol, n_entries: int, tol: float, max_order: int):
     """The per-n ladders of γ, summed term by term: each term ``c·u^m e^{λu}``
     in ``v = c_λ·u`` with ``c_λ = 1 − λ`` for a decaying term and ``c_λ = 1``
     for any other, as ``c_λ^{−(n+1)}·E[c·v^m e^{λ'v}]`` with
-    ``λ' = (λ + c_λ − 1)/c_λ``, in (complex) longdouble.  ``c_λ`` is raised by
-    the complex power, real or not, whose error
-    ``2·eps_ld·(n+1)·|c·log c_λ|·|c_λ^{−(n+1)}|`` is added to ``err``.  A term
-    with Re λ ≥ 0 has ``λ' = λ``: its row is the plain one."""
+    ``λ' = (λ + c_λ − 1)/c_λ``, in (complex) longdouble.  A decaying term takes
+    its scale and the bound added to ``err`` from ``quadrature._scale``, the
+    clongdouble power that gamma_sequence shares with the closed forms, real
+    ``c_λ`` included.  A term with Re λ ≥ 0 has ``λ' = λ``: its row is the
+    plain one."""
     ld, cld = np.longdouble, np.clongdouble
     rated = []
     for w, m, lam in radial_terms(symbol):
         c = cld(1) - cld(lam) if lam.real < 0 else cld(1)
-        rated.append((cld(w), m, (cld(lam) + (c - 1)) / c, c))
+        rated.append((cld(w), m, (cld(lam) + (c - 1)) / c, (w, lam) if lam.real < 0 else None))
 
     def profile(v):
         v = v.astype(cld)
-        return np.array([w * np.power(v, m) * np.exp(lam * v) for w, m, lam, _c in rated])
+        return np.array([w * np.power(v, m) * np.exp(lam * v) for w, m, lam, _d in rated])
 
+    unit = (np.ones(1, dtype=cld), np.zeros(1, dtype=ld))
     out = []
     for n in range(n_entries):
-        power = ld(-(n + 1))
-        # the complex power of a one-entry array, as gamma_sequence raises it
-        scale = [np.power(np.array([c]), power)[0] for *_, c in rated]
-        value, err, stop = _reference_ladder(profile, float(n), tol, max_order, np.array(scale))
-        bounds = [
-            2 * quadrature._EPS_LD * abs(w * np.log(c)) * abs(s) * -power
-            for (w, _m, _lam, c), s in zip(rated, scale)
-        ]
-        out.append((value, err + float(sum(bounds)), stop))
+        power = np.array([-(n + 1)], dtype=ld)
+        scaled = [quadrature._scale(*decay, power) if decay else unit for *_, decay in rated]
+        scale = np.array([s[0] for s, _b in scaled])
+        value, err, stop = _reference_ladder(profile, float(n), tol, max_order, scale)
+        out.append((value, err + float(sum(b[0] for _s, b in scaled)), stop))
     return out
 
 
