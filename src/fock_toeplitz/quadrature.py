@@ -11,17 +11,19 @@ weight exponent ``α = n``.
 
 Numerical notes.  The quadrature path normalizes the weight to unit mass,
 so the division by ``n!`` never happens explicitly.  For oscillatory
-profiles such as ``e^{λu}`` with complex ``λ`` the sum cancels from
-``Σ w|f| ≈ (1−Re λ)^{−(n+1)}`` to a unit-modulus result, a factor ~10⁹ at
-``n = 40``.  Rules are therefore refined to ``np.longdouble`` and summed in
-``np.clongdouble``, and the adaptive ladder stops at the requested
-tolerance or at the rounding floor ``eps · Σ w|f|``, whichever comes first.
+profiles such as ``e^{λu}`` with complex ``λ`` the integrand alternates in
+sign and the sum cancels down from ``Σ w|f| ≈ (1−Re λ)^{−(n+1)}`` to a
+unit-modulus result; at ``n = 40`` that is a factor ~10⁹, which double
+precision cannot absorb at 1e−9 accuracy.  Rules are therefore refined to
+``np.longdouble`` (Newton-polished nodes, Christoffel weights) and summed
+in ``np.clongdouble``, and the adaptive ladder stops either at the
+requested tolerance or at the computable rounding floor
+``eps · Σ w|f|`` — whichever comes first — reporting the honest estimate.
 γ is summed term by term, one row per term ``w·r^{2m}e^{λr²}``: a decaying
 term (``Re λ < 0``) in ``v = (1−λ)u``, on a ray that Cauchy's theorem
 rotates when ``λ`` is complex, where its row is a constant; every other
-term in ``v = u``.  Both paths take each scale ``(1−λ)^{−(n+1)}`` from one
-clongdouble power, and bound each term's rounding: the closed forms by
-``16·eps·|term|`` plus twice the power's error.
+term in ``v = u``.  Both paths take each scale ``(1−λ)^{−(n+1)}`` and its
+error bound from one clongdouble power, :func:`_scale`.
 """
 from __future__ import annotations
 
@@ -453,7 +455,6 @@ def _gamma_closed(terms, n_entries: int):
     abs_err, ``16·eps·Σ_k |term_k|`` plus the bounds of :func:`_scale`.  No term has both
     ``m > 0`` and ``λ ≠ 0``: rising factorials are summed in complex128, scales in
     clongdouble and rounded once.  Entries past float64 come back non-finite, unwarned."""
-    n = np.arange(n_entries, dtype=float)
     power = np.arange(-1, -n_entries - 1, -1, dtype=_LD)
     monomials, gauge = np.zeros(n_entries, dtype=complex), np.zeros(n_entries)
     powers, power_err = np.zeros(n_entries, dtype=_CLD), np.zeros(n_entries, dtype=_LD)
@@ -464,7 +465,7 @@ def _gamma_closed(terms, n_entries: int):
                 powers += w * scale
                 power_err += _GAUGE_FACTOR * abs(w) * abs(scale) + bound
             else:
-                term = w * _rising(n + 1.0, m)
+                term = w * _rising(np.arange(1.0, n_entries + 1), m)
                 monomials += term
                 gauge += np.abs(term)
         values = monomials + powers.astype(complex)
@@ -557,8 +558,7 @@ def gamma_sequence(
                 row *= np.exp(rate * v)
         return fx
 
-    alphas = [float(n) for n in range(closed_end)]
-    values, abs_err = _ladder(profile, alphas, tol, max_order, scales)
+    values, abs_err = _ladder(profile, [float(n) for n in range(closed_end)], tol, max_order, scales)
     _check_finite("quadrature", values, n_entries)
     abs_err = _underflow_floor(abs_err + power_err.astype(float), np.abs(values))
     return GammaSequence(values, abs_err, source=describe(symbol), tol=tol, method="quadrature")
