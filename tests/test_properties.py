@@ -256,7 +256,7 @@ def test_closed_abs_err_bounds_the_error_of_long_sequences(terms, n_entries):
 
 # 1 − λ needs 87 bits for λ = −1e−10, so clongdouble rounds c = 1 − λ by up to
 # 2^−64 relative, an error of up to (n+1)·2^−64 in γ(n) whatever |log c| is.
-# Past n ≈ 67 000 that exceeds 16·eps·|γ|; every 997th entry is checked.
+# Past n ≈ 65 000 that exceeds 16·eps·|γ|; every 997th entry is checked.
 @pytest.mark.parametrize("lam", [-1e-10, complex(-3e-7, 1e-9), 1e-12])
 def test_closed_abs_err_bounds_the_rounding_of_one_minus_lambda(lam):
     g = gamma_sequence(RadialExponential(lam), 200_000, method="closed")
