@@ -252,9 +252,9 @@ def _tau_terms(phi: Symbol, psi: Symbol):
     underflows, or whose ``1/β_τ`` overflows, has a γ that underflows and is
     dropped before it reaches :class:`Combination`.
     """
-    parts = []
+    parts, psi_terms = [], radial_terms(psi)
     for c, m, lam in radial_terms(phi):
-        for d, k, mu in radial_terms(psi):
+        for d, k, mu in psi_terms:
             if m == k == 0:
                 rate = (1.0 - lam) * (1.0 - mu)  # 1/β_τ
                 if cmath.isfinite(rate):

@@ -22,8 +22,8 @@ requested tolerance or at the computable rounding floor
 γ is summed term by term, one row per term ``w·r^{2m}e^{λr²}``: a decaying
 term (``Re λ < 0``) in ``v = (1−λ)u``, on a ray that Cauchy's theorem
 rotates when ``λ`` is complex, where its row is a constant; every other
-term in ``v = u``.  Both paths take each scale ``(1−λ)^{−(n+1)}`` and its
-error bound from one clongdouble power, :func:`_scale`.
+term in ``v = u``.  Each term's scale ``(1−λ)^{−(n+1)}`` and its error bound
+(:func:`_scale`) are computed once per call, and the quadrature rows reuse them.
 """
 from __future__ import annotations
 
@@ -451,17 +451,18 @@ def _scale(w, lam, power):
 
 
 def _gamma_closed(terms, n_entries: int):
-    """Closed-form γ of terms ``w·(n+1)_m·(1−λ)^{−(n+1)}``, ``n < n_entries``, and its
-    abs_err, ``16·eps·Σ_k |term_k|`` plus the bounds of :func:`_scale`.  No term has both
-    ``m > 0`` and ``λ ≠ 0``: rising factorials are summed in complex128, scales in
-    clongdouble and rounded once.  Entries past float64 come back non-finite, unwarned."""
+    """Closed-form γ of terms ``w·(n+1)_m·(1−λ)^{−(n+1)}``, ``n < n_entries``, its abs_err
+    ``16·eps·Σ_k |term_k|`` plus the bounds, and each term's :func:`_scale` pair (None for
+    ``λ = 0``).  No term has both ``m > 0`` and ``λ ≠ 0``: rising factorials are summed in
+    complex128, scales in clongdouble and rounded once.  Past float64 entries are non-finite."""
     power = np.arange(-1, -n_entries - 1, -1, dtype=_LD)
     monomials, gauge = np.zeros(n_entries, dtype=complex), np.zeros(n_entries)
     powers, power_err = np.zeros(n_entries, dtype=_CLD), np.zeros(n_entries, dtype=_LD)
     with np.errstate(all="ignore"):  # overflow is reported by the caller, not warned
-        for w, m, lam in terms:
-            if lam:
-                scale, bound = _scale(w, lam, power)
+        pairs = [_scale(w, lam, power) if lam else None for w, _m, lam in terms]
+        for (w, m, lam), pair in zip(terms, pairs):
+            if pair:
+                scale, bound = pair
                 powers += w * scale
                 power_err += _GAUGE_FACTOR * abs(w) * abs(scale) + bound
             else:
@@ -469,7 +470,7 @@ def _gamma_closed(terms, n_entries: int):
                 monomials += term
                 gauge += np.abs(term)
         values = monomials + powers.astype(complex)
-        return values, _GAUGE_FACTOR * gauge + power_err.astype(float)
+        return values, _GAUGE_FACTOR * gauge + power_err.astype(float), pairs
 
 
 def _underflow_floor(abs_err: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
@@ -523,7 +524,7 @@ def gamma_sequence(
     if method not in ("closed", "quadrature"):
         raise DomainError(f"unknown gamma method: {method!r}")
 
-    closed, abs_err = _gamma_closed(terms, n_entries)
+    closed, abs_err, pairs = _gamma_closed(terms, n_entries)
     if method == "closed":
         _check_finite("closed-form", closed, n_entries)
         abs_err = _underflow_floor(abs_err, np.abs(closed))
@@ -535,15 +536,14 @@ def gamma_sequence(
     # Each term w·u^m e^{λu} is one row.  A decaying term has its mass near
     # n/|c|, c = 1 − λ, where the rule of uⁿe^{−u} has few nodes; in v = c·u
     # (a ray rotated by Cauchy's theorem if λ is complex) its row is the
-    # constant w, with the closed form's scale.  Other rows are w·vᵐe^{λv}.
+    # constant w, with the closed form's scale and bound.  Other rows are w·vᵐe^{λv}.
     closed_end = _first_overflow(closed)
-    power = np.arange(-1, -closed_end - 1, -1, dtype=_LD)
     rows, scales = [], np.ones((len(terms), closed_end), dtype=_CLD)
     power_err = np.zeros(closed_end, dtype=_LD)
-    for (w, m, lam), scale in zip(terms, scales):
+    for (w, m, lam), scale, pair in zip(terms, scales, pairs):
         if lam.real < 0:
-            scale[:], bound = _scale(w, lam, power)
-            power_err += bound
+            scale[:] = pair[0][:closed_end]
+            power_err += pair[1][:closed_end]
             lam = 0
         rows.append((m, _CLD(lam)))
     weights = np.array([[w] for w, _m, _lam in terms], dtype=_CLD)

@@ -5,10 +5,7 @@ family: radial monomials ``r^{2m}``, radial exponentials ``e^{λr²}``,
 bivariate polynomials ``Σ c_{jk} z^j z̄^k``, and finite linear combinations
 of the above.  Restricting to this family keeps every class-membership
 question decidable by inspecting integral convergence conditions instead of
-sampling.
-
-The module imports no numpy at load time; :func:`radial_profile`, the one
-vectorized evaluator, imports it when called.
+sampling.  The module imports no numpy.
 """
 from __future__ import annotations
 
@@ -17,12 +14,9 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import DivergenceError, DomainError, NonFiniteResultError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "RadialMonomial",
@@ -36,7 +30,6 @@ __all__ = [
     "radial_terms",
     "to_polynomial",
     "evaluate",
-    "radial_profile",
     "membership",
     "describe",
     "symbol_to_json",
@@ -50,6 +43,13 @@ __all__ = [
 # symbol variants
 
 
+def _is_power(p, floats: bool) -> bool:
+    """A nonnegative integer, not a bool, or with ``floats`` an integral float; int first,
+    as a test against the ABC, which numpy's integers need, is far slower."""
+    whole = type(p) is int or isinstance(p, numbers.Integral) and not isinstance(p, bool)
+    return (whole or floats and isinstance(p, float) and p.is_integer()) and p >= 0
+
+
 @dataclass(frozen=True)
 class RadialMonomial:
     """The radial symbol ``a(r) = r^{2m}``."""
@@ -57,8 +57,7 @@ class RadialMonomial:
     m: int
 
     def __post_init__(self) -> None:
-        # int first: it is far cheaper than a test against the ABC, which numpy's ints need
-        if not isinstance(self.m, (int, numbers.Integral)) or self.m < 0:
+        if not _is_power(self.m, floats=False):
             raise ValueError(f"monomial exponent must be a nonnegative integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
 
@@ -90,7 +89,7 @@ class BivariatePolynomial:
         clean: dict[tuple[int, int], complex] = {}
         for key, c in self.coefficients.items():
             j, k = key
-            if j < 0 or k < 0 or j != int(j) or k != int(k):
+            if not (_is_power(j, floats=True) and _is_power(k, floats=True)):
                 raise ValueError(f"polynomial powers must be nonnegative integers, got {key!r}")
             c = complex(c)
             if c != 0:
@@ -200,27 +199,6 @@ def evaluate(symbol: Symbol, z: complex) -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NonFiniteResultError(f"symbol evaluation not finite at z={z}")
     return value
-
-
-def radial_profile(symbol: Symbol, u: np.ndarray) -> np.ndarray:
-    """Vectorized ``a(√u)`` for a radial symbol, i.e. the profile in ``u = r²``.
-
-    Preserves the floating type of ``u`` (complex result), so extended
-    precision survives when the caller passes ``np.longdouble`` nodes.
-    """
-    import numpy as np
-
-    terms = radial_terms(symbol)
-    u = np.asarray(u)
-    out = np.zeros(u.shape, dtype=np.result_type(u.dtype, np.complex128))
-    for c, m, lam in terms:
-        term = np.asarray(u, dtype=out.dtype) ** m if m else np.ones_like(out)
-        if lam != 0:
-            term = term * np.exp(out.dtype.type(lam) * u)
-        out += out.dtype.type(c) * term
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteResultError("radial profile evaluation not finite")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,38 +337,29 @@ def symbol_to_json(symbol: Symbol) -> dict:
 
 
 def symbol_from_json(obj) -> Symbol:
-    """Decode a symbol from its JSON dict form; raises ValueError when malformed."""
+    """Decode a symbol from its JSON dict form; raises ValueError when malformed.  Powers,
+    rates and weights pass through as they are, for the constructors to check."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"symbol JSON must be an object with a 'kind' field, got {obj!r}")
-    kind = obj["kind"]
-    if kind == "radial_monomial":
-        if "m" not in obj:
-            raise ValueError("radial_monomial needs field 'm'")
-        return RadialMonomial(m=obj["m"])
-    if kind == "radial_exponential":
-        if "lambda" not in obj:
-            raise ValueError("radial_exponential needs field 'lambda'")
-        return RadialExponential(lam=complex_from_json(obj["lambda"]))
-    if kind == "poly":
-        terms = obj.get("terms", [])
-        if not isinstance(terms, list):
-            raise ValueError("poly 'terms' must be a list")
-        coeffs: dict[tuple[int, int], complex] = {}
-        for t in terms:
-            try:
-                j, k = int(t["j"]), int(t["k"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"malformed poly term: {t!r}") from exc
-            coeffs[(j, k)] = coeffs.get((j, k), 0j) + complex_from_json(t.get("c", 1.0))
-        return BivariatePolynomial(coeffs)
-    if kind == "sum":
-        terms = obj.get("terms", [])
-        if not isinstance(terms, list) or not terms:
-            raise ValueError("sum 'terms' must be a non-empty list")
-        decoded = []
-        for t in terms:
-            if not isinstance(t, dict) or "s" not in t:
-                raise ValueError(f"sum term needs a sub-symbol 's': {t!r}")
-            decoded.append((complex_from_json(t.get("w", 1.0)), symbol_from_json(t["s"])))
-        return Combination(tuple(decoded))
+    kind, terms = obj["kind"], obj.get("terms", [])
+    try:
+        if kind == "radial_monomial":
+            return RadialMonomial(m=obj["m"])
+        if kind == "radial_exponential":
+            return RadialExponential(lam=complex_from_json(obj["lambda"]))
+        if kind in ("poly", "sum") and not isinstance(terms, list):
+            raise ValueError(f"{kind} 'terms' must be a list")
+        if kind == "poly":
+            coeffs: dict[tuple[int, int], complex] = {}
+            for t in terms:
+                # each term is checked alone, so a bool power cannot merge into an int one
+                term = BivariatePolynomial({(t["j"], t["k"]): complex_from_json(t.get("c", 1.0))})
+                for key, c in term.coefficients.items():
+                    coeffs[key] = coeffs.get(key, 0j) + c
+            return BivariatePolynomial(coeffs)
+        if kind == "sum":  # Combination refuses a sum of no terms
+            decoded = [(t["s"], t.get("w", 1.0)) for t in terms]
+            return Combination(tuple((complex_from_json(w), symbol_from_json(s)) for s, w in decoded))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} symbol ({type(exc).__name__}: {exc})") from exc
     raise ValueError(f"unknown symbol kind: {kind!r}")

@@ -524,6 +524,10 @@ class TestExitCodes:
             '{"kind": "sum", "terms": [{"w": 1, "s": ' * 1500 + CONST + "}]}" * 1500,
             '{"kind": "radial_exponential", "lambda": {"re": -1, "im": Infinity}}',
             '{"kind": "radial_exponential", "lambda": -Infinity}',
+            '{"kind": "poly", "terms": [{"j": 1.5, "k": 1.5}]}',
+            '{"kind": "poly", "terms": [{"j": "2", "k": "2"}]}',
+            '{"kind": "poly", "terms": [{"j": true, "k": true}]}',
+            '{"kind": "radial_monomial", "m": true}',
         ],
         ids=[
             "infinite-power",
@@ -531,6 +535,10 @@ class TestExitCodes:
             "nested-1500-deep",
             "infinite-imaginary-rate",
             "minus-infinite-rate",
+            "fractional-power",
+            "string-power",
+            "boolean-power",
+            "boolean-exponent",
         ],
     )
     def test_malformed_symbol_is_usage_error(self, capsys, symbol):

@@ -443,6 +443,22 @@ class TestRuleCache:
         assert 1 < len(sizes) <= 7  # rungs of order 8, 16, …, 512
         assert sizes[0] == 41 * 8  # every entry climbs the first rung
 
+    def test_each_exponential_term_takes_one_scale_per_call(self, monkeypatch):
+        calls = []
+        scale = quadrature._scale
+
+        def counting_scale(*args):
+            calls.append(args[1])
+            return scale(*args)
+
+        monkeypatch.setattr(quadrature, "_scale", counting_scale)
+        # two decaying terms, whose rows reuse the closed form's scales, and an
+        # oscillatory one, whose row takes none
+        parts = ((1.0, RadialExponential(-1.2)), (0.5j, RadialExponential(-0.6 + 0.3j)))
+        parts += ((0.3, RadialExponential(0.2 + 0.4j)),)
+        gamma_sequence(Combination(parts), 41, method="quadrature")
+        assert sorted(calls, key=lambda lam: (lam.real, lam.imag)) == [-1.2, -0.6 + 0.3j, 0.2 + 0.4j]
+
     def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, fock_toeplitz.cli; "

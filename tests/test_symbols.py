@@ -28,7 +28,7 @@ from fock_toeplitz import (
     symbol_to_json,
     to_polynomial,
 )
-from fock_toeplitz.symbols import describe, radial_profile
+from fock_toeplitz.symbols import describe
 
 LAM_EXAMPLE = complex(2.0, 4.0) / 5.0
 
@@ -45,6 +45,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RadialMonomial(2.0)
 
+    @pytest.mark.parametrize("m", [True, False, "2"])
+    def test_monomial_rejects_a_bool_or_a_string(self, m):
+        with pytest.raises(ValueError, match="monomial exponent"):
+            RadialMonomial(m)
+
     @pytest.mark.parametrize("lam", [complex(-1, math.inf), -math.inf, math.nan])
     def test_exponential_rejects_a_non_finite_rate(self, lam):
         with pytest.raises(ValueError, match="exponential rate must be finite"):
@@ -57,6 +62,18 @@ class TestConstruction:
     def test_polynomial_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             BivariatePolynomial({(-1, 0): 1.0})
+
+    @pytest.mark.parametrize(
+        "key", [(True, True), (1, False), (1.5, 1.5), (1, 0.5), ("2", "2"), (math.inf, 0), (math.nan, 0)]
+    )
+    def test_polynomial_rejects_bool_fractional_and_string_powers(self, key):
+        with pytest.raises(ValueError, match="polynomial powers"):
+            BivariatePolynomial({key: 1.0})
+
+    def test_polynomial_powers_may_be_integral_floats_or_numpy_integers(self):
+        p = BivariatePolynomial({(2.0, np.int64(1)): 1.0})
+        assert p == BivariatePolynomial({(2, 1): 1.0})
+        assert all(type(j) is int and type(k) is int for j, k in p.coefficients)
 
     def test_combination_requires_terms(self):
         with pytest.raises(ValueError):
@@ -139,13 +156,6 @@ class TestEvaluate:
     def test_overflow_is_reported(self):
         with pytest.raises(NonFiniteResultError):
             evaluate(RadialExponential(2.0), 30.0)
-
-    def test_radial_profile_matches_pointwise_evaluation(self):
-        s = Combination(((1.0, RadialMonomial(2)), (2.0, RadialExponential(-0.5 + 0.2j))))
-        u = np.array([0.0, 0.25, 1.0, 4.0])
-        prof = radial_profile(s, u)
-        expected = np.array([evaluate(s, math.sqrt(x)) for x in u])
-        np.testing.assert_allclose(prof, expected, rtol=1e-13)
 
 
 class TestMembership:
@@ -278,6 +288,12 @@ class TestJsonRoundTrip:
             {"kind": "poly", "terms": [{"j": float("inf"), "k": 0}]},
             {"kind": "sum", "terms": [{"w": 1, "s": {"kind": "radial_monomial", "m": 0}}, 5]},
             {"kind": "sum", "terms": ["s"]},
+            {"kind": "poly", "terms": [{"j": 1.5, "k": 1.5}]},
+            {"kind": "poly", "terms": [{"j": "2", "k": "2"}]},
+            {"kind": "poly", "terms": [{"j": 1, "k": 1}, {"j": True, "k": True}]},
+            {"kind": "poly", "terms": [{"j": [1], "k": 1}]},
+            {"kind": "poly", "terms": {}},
+            {"kind": "radial_monomial", "m": True},
         ],
     )
     def test_malformed_payload_raises(self, payload):
