@@ -451,10 +451,11 @@ def _scale(w, lam, power):
 
 
 def _gamma_closed(terms, n_entries: int):
-    """Closed-form γ of terms ``w·(n+1)_m·(1−λ)^{−(n+1)}``, ``n < n_entries``, its abs_err
-    ``16·eps·Σ_k |term_k|`` plus the bounds, and each term's :func:`_scale` pair (None for
-    ``λ = 0``).  No term has both ``m > 0`` and ``λ ≠ 0``: rising factorials are summed in
-    complex128, scales in clongdouble and rounded once.  Past float64 entries are non-finite."""
+    """Closed-form γ of terms ``w·(n+1)_m·(1−λ)^{−(n+1)}``, ``n < n_entries``; its abs_err,
+    ``16·eps·Σ_k |term_k|`` plus the bounds of :func:`_scale`; and each term's ``(scale,
+    bound)`` from :func:`_scale`, None where ``λ = 0``.  No term has both ``m > 0`` and
+    ``λ ≠ 0``: rising factorials are summed in complex128, scales in clongdouble and rounded
+    once.  Entries past float64 come back non-finite, unwarned."""
     power = np.arange(-1, -n_entries - 1, -1, dtype=_LD)
     monomials, gauge = np.zeros(n_entries, dtype=complex), np.zeros(n_entries)
     powers, power_err = np.zeros(n_entries, dtype=_CLD), np.zeros(n_entries, dtype=_LD)
