@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,7 +59,7 @@ MAX_ORDER = 512
 _FLOOR_FACTOR = 32.0  # multiples of eps·Σw|f| treated as unreachable
 _GAUGE_FACTOR = 16.0 * float(np.finfo(float).eps)  # closed forms: rounding per |term|
 # Rules kept per process: full ladders (orders 8..512) for ~146 weight
-# exponents, about 80 bytes per node, so ~12 MB when every ladder is full.
+# exponents, 32 bytes per node, so about 5 MB when every ladder is full.
 _RULE_CACHE_SIZE = 1024
 # Nodes per batched build: bounds the recurrence's transient arrays (about
 # a dozen of this many longdoubles) while keeping a rung's batch whole.
@@ -82,12 +82,6 @@ class QuadratureRule:
     alpha: float
     nodes: np.ndarray
     unit_weights: np.ndarray
-    _padded_nodes: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)  # np.clongdouble
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_padded_nodes", np.where(self.unit_weights > 0, self.nodes, 0.0))
-        object.__setattr__(self, "_weights", self.unit_weights.astype(_CLD))
 
     @property
     def weights(self) -> np.ndarray:
@@ -95,7 +89,8 @@ class QuadratureRule:
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Unit-normalized integral ``∫ f(u) u^α e^{−u} du / Γ(α+1)``."""
-        return complex(np.sum(self._weights * np.asarray(f(self._padded_nodes))))
+        nodes = np.where(self.unit_weights > 0, self.nodes, 0.0)
+        return complex(np.sum(self.unit_weights.astype(_CLD) * np.asarray(f(nodes))))
 
 
 def _gamma_scale(alpha: float) -> np.longdouble:
@@ -123,16 +118,13 @@ def build_rule(order: int, alpha: float) -> QuadratureRule:
     read-only; copy them before writing.  Invalid arguments raise
     :class:`DomainError` before the cache is consulted.
     ``build_rule.cache_clear()`` empties the cache and
-    ``build_rule.cache_info()`` reports its hits, misses (the rules built)
-    and size.
+    ``build_rule.cache_info()`` reports its hits (the rules found in it, as
+    for ``functools.lru_cache``), misses (the rules built) and size.
     """
     if order < 1:
         raise DomainError(f"rule order must be >= 1, got {order}")
     _check_alpha(alpha)
-    alpha = float(alpha)
-    (rule,) = _RULES.get_many(order, [alpha])
-    if rule is None:
-        (rule,) = _RULES.put(order, _build_rules(order, [alpha]))
+    (rule,) = _cached_rules(order, [float(alpha)])
     return rule
 
 
@@ -142,54 +134,54 @@ def _check_alpha(alpha: float) -> None:
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_RULES: OrderedDict[tuple[int, float], QuadratureRule] = OrderedDict()
+_RULES_LOCK = threading.Lock()
+_RULE_COUNTS = [0, 0]  # hits, misses
 
 
-class _RuleCache:
-    """Bounded LRU map ``(order, alpha) -> QuadratureRule`` that takes a
-    whole batch of freshly built rules at once; ``misses`` counts them."""
+def _cached_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
+    """The rules of ``order`` for ``alphas`` from the LRU cache of :func:`build_rule`.
 
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._rules: OrderedDict[tuple[int, float], QuadratureRule] = OrderedDict()
-        self._lock = threading.RLock()
-        self._hits = self._misses = 0
-
-    def get_many(self, order: int, alphas: list[float], built=()) -> list[QuadratureRule | None]:
-        """The cached rules of ``order`` for ``alphas``, None where there is
-        none, looked up under the one lock that first puts ``built`` in the
-        cache; each rule found counts one hit."""
-        with self._lock:
-            self.put(order, built)
-            rules = [self._rules.get((order, a)) for a in alphas]
-            for a, rule in zip(alphas, rules):
-                if rule is not None:
-                    self._rules.move_to_end((order, a))
-            self._hits += len(rules) - rules.count(None)
-        return rules
-
-    def put(self, order: int, rules: list[QuadratureRule]) -> list[QuadratureRule]:
-        with self._lock:
-            for rule in rules:
-                self._rules[order, rule.alpha] = rule
-                self._rules.move_to_end((order, rule.alpha))
-            self._misses += len(rules)
-            while len(self._rules) > self.maxsize:
-                self._rules.popitem(last=False)
-        return rules
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rules.clear()
-            self._hits = self._misses = 0
-
-    def info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._rules))
+    Each rule found becomes the most recent and counts one hit.  The missing
+    ones are built outside the lock, in batches of at most ``_BATCH_NODES``
+    nodes, and enter the cache under it, each counting one miss; the least
+    recent rules past ``_RULE_CACHE_SIZE`` are then dropped.  Built rules are
+    returned as built, so a request wider than the cache still gets them all.
+    """
+    with _RULES_LOCK:
+        rules = [_RULES.get((order, a)) for a in alphas]
+        for a, rule in zip(alphas, rules):
+            if rule is not None:
+                _RULES.move_to_end((order, a))
+        _RULE_COUNTS[0] += len(rules) - rules.count(None)
+    missing = [a for a, rule in zip(alphas, rules) if rule is None]
+    step = max(1, _BATCH_NODES // order)
+    chunks = [missing[i : i + step] for i in range(0, len(missing), step)]
+    built = [rule for chunk in chunks for rule in _build_rules(order, chunk)]
+    with _RULES_LOCK:
+        for rule in built:
+            _RULES[order, rule.alpha] = rule
+            _RULES.move_to_end((order, rule.alpha))
+        _RULE_COUNTS[1] += len(built)
+        while len(_RULES) > _RULE_CACHE_SIZE:
+            _RULES.popitem(last=False)
+    fresh = iter(built)
+    return [rule or next(fresh) for rule in rules]
 
 
-_RULES = _RuleCache(_RULE_CACHE_SIZE)
-build_rule.cache_clear = _RULES.clear
-build_rule.cache_info = _RULES.info
+def _cache_clear() -> None:
+    with _RULES_LOCK:
+        _RULES.clear()
+        _RULE_COUNTS[:] = [0, 0]
+
+
+def _cache_info() -> _CacheInfo:
+    with _RULES_LOCK:
+        return _CacheInfo(*_RULE_COUNTS, _RULE_CACHE_SIZE, len(_RULES))
+
+
+build_rule.cache_clear = _cache_clear
+build_rule.cache_info = _cache_info
 
 
 def _build_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
@@ -254,39 +246,20 @@ def _build_rules(order: int, alphas: list[float]) -> list[QuadratureRule]:
         raise RuleConstructionError(
             f"node refinement failed for order={order}, alpha={alphas[int(np.argmax(bad))]}"
         )
-    return [
-        _frozen_rule(order, alpha, x[i].copy(), unit_weights[i].copy())
-        for i, alpha in enumerate(alphas)
+    rules = [
+        QuadratureRule(order, a, nodes.copy(), w.copy()) for a, nodes, w in zip(alphas, x, unit_weights)
     ]
-
-
-def _frozen_rule(
-    order: int, alpha: float, nodes: np.ndarray, unit_weights: np.ndarray
-) -> QuadratureRule:
-    nodes.flags.writeable = False
-    unit_weights.flags.writeable = False
-    return QuadratureRule(order=order, alpha=alpha, nodes=nodes, unit_weights=unit_weights)
+    for rule in rules:
+        rule.nodes.flags.writeable = rule.unit_weights.flags.writeable = False
+    return rules
 
 
 def _rung_rules(order: int, alphas: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The padded nodes and complex unit weights of the rules of ``order`` for
-    ``alphas`` as ``(len(alphas), order)`` arrays.  Each chunk of at most
-    ``_BATCH_NODES`` nodes is looked up under one lock; its missing rules are
-    built in one batch and looked up as they enter the cache, so each rule
-    counts one hit."""
-    rules: list[QuadratureRule] = []
-    step = max(1, min(_BATCH_NODES // order, _RULE_CACHE_SIZE))
-    for start in range(0, len(alphas), step):
-        chunk = alphas[start : start + step]
-        found = _RULES.get_many(order, chunk)
-        missing = [a for a, rule in zip(chunk, found) if rule is None]
-        if missing:
-            built = iter(_RULES.get_many(order, missing, _build_rules(order, missing)))
-            found = [rule or next(built) for rule in found]
-        rules += found
-    shape = (len(rules), order)
-    nodes = np.concatenate([r._padded_nodes for r in rules]).reshape(shape)
-    return nodes, np.concatenate([r._weights for r in rules]).reshape(shape)
+    """The padded nodes and the unit weights of the rules of ``order`` for
+    ``alphas``, as ``(len(alphas), order)`` longdouble arrays."""
+    rules = _cached_rules(order, alphas)
+    weights = np.array([r.unit_weights for r in rules])
+    return np.where(weights > 0, np.array([r.nodes for r in rules]), 0.0), weights
 
 
 def _ladder(
@@ -325,8 +298,9 @@ def _ladder(
         fx = np.asarray(f(nodes.ravel()))
         # reshaped after the product, so a scalar fx broadcasts; np.add.reduce
         # along a row is np.sum's pairwise sum of that row alone
-        value = _row_sums(weights.ravel() * fx, nodes.shape)
-        gauge = _row_sums(weights.real.ravel() * np.abs(fx), nodes.shape)
+        # in clongdouble even for a real fx, so every row has one summation order
+        value = _row_sums(np.multiply(weights.ravel(), fx, dtype=_CLD), nodes.shape)
+        gauge = _row_sums(weights.ravel() * np.abs(fx), nodes.shape)
         value = np.add.reduce(value * scales, axis=0)
         gauge = np.add.reduce(gauge * gauges, axis=0)
         # a sum past float64 reads inf, and inf − inf nan, without a warning
@@ -447,6 +421,8 @@ def _scale(w, lam, power):
     back = c.real - 1
     delta = (1 - (c.real - back)) + (-lam.real - back)
     scale = c**power
+    if abs(c) > 1:  # |c|^{−power} past the longdouble range reads nan: the scale underflows to 0
+        scale[~np.isfinite(scale)] = 0
     return scale, 2 * (_EPS_LD * abs(w * np.log(c)) + abs(w * delta / c)) * abs(scale) * -power
 
 

@@ -306,13 +306,14 @@ def complex_to_json(z: complex) -> dict:
 
 
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, dict):
+    """A JSON number, or an object of the numbers ``re`` and ``im`` (each 0 if absent), as a
+    complex; ValueError for anything else, a boolean or an integer past float64 included."""
+    parts = [obj.get("re", 0.0), obj.get("im", 0.0)] if isinstance(obj, dict) else [obj]
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
         try:
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed complex value: {obj!r}") from exc
+            return complex(*map(float, parts))
+        except OverflowError:
+            pass
     raise ValueError(f"malformed complex value: {obj!r}")
 
 

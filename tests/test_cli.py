@@ -528,6 +528,12 @@ class TestExitCodes:
             '{"kind": "poly", "terms": [{"j": "2", "k": "2"}]}',
             '{"kind": "poly", "terms": [{"j": true, "k": true}]}',
             '{"kind": "radial_monomial", "m": true}',
+            '{"kind": "radial_exponential", "lambda": false}',
+            '{"kind": "radial_exponential", "lambda": {"re": true}}',
+            '{"kind": "sum", "terms": [{"w": true, "s": ' + CONST + "}]}",
+            '{"kind": "poly", "terms": [{"j": 1, "k": 1, "c": true}]}',
+            '{"kind": "radial_exponential", "lambda": {"re": "-2"}}',
+            '{"kind": "radial_exponential", "lambda": -1' + "0" * 400 + "}",
         ],
         ids=[
             "infinite-power",
@@ -539,6 +545,12 @@ class TestExitCodes:
             "string-power",
             "boolean-power",
             "boolean-exponent",
+            "boolean-rate",
+            "boolean-real-part",
+            "boolean-weight",
+            "boolean-coefficient",
+            "string-real-part",
+            "integer-rate-past-float64",
         ],
     )
     def test_malformed_symbol_is_usage_error(self, capsys, symbol):

@@ -213,6 +213,8 @@ _decays = st.builds(
 @given(_distinct_terms(_decays), st.integers(1, 1000))
 @example([(1.0, RadialExponential(complex(-0.3, 0.9)))], 200)
 @example([(1.0, RadialExponential(-3.0))], 700)
+@example([(1.0, RadialExponential(-1e308))], 64)
+@example([(1.0, RadialExponential(complex(-1e308, 1e308)))], 64)
 def test_quadrature_abs_err_bounds_the_error_of_decays_into_underflow(terms, n_entries):
     g = gamma_sequence(Combination(tuple(terms)), n_entries, method="quadrature")
     with mpmath.workdps(40):
@@ -234,7 +236,9 @@ _long_rates = st.builds(complex, st.floats(-3.0, 0.5), st.floats(-1.0, 1.0)).fil
 # carries the error; the quadrature ladders of oscillatory terms are too slow
 # at these n.  The rates of the first three examples missed the flat bound
 # 16·eps·|γ| in most entries when the power was taken in float64, and
-# e^{−1e308 r²} rounded γ(0) into the subnormal range twice.
+# e^{−1e308 r²} rounded γ(0) into the subnormal range twice.  At N = 64 the
+# longdouble power of it, and of λ = −1e308+1e308i, reads nan once
+# |1 − λ|^{n+1} leaves the longdouble range; each γ(n) there underflows to 0.
 @settings(max_examples=20, deadline=None)
 @given(
     _distinct_terms(
@@ -246,6 +250,8 @@ _long_rates = st.builds(complex, st.floats(-3.0, 0.5), st.floats(-1.0, 1.0)).fil
 @example([(1.0, RadialExponential(-0.3 + 0.9j))], 1500)
 @example([(1.0, RadialExponential(-0.01 + 0.02j))], 1500)
 @example([(1.0, RadialExponential(-1e308))], 4)
+@example([(1.0, RadialExponential(-1e308))], 64)
+@example([(1.0, RadialExponential(complex(-1e308, 1e308)))], 64)
 def test_closed_abs_err_bounds_the_error_of_long_sequences(terms, n_entries):
     g = gamma_sequence(Combination(tuple(terms)), n_entries, method="closed")
     with mpmath.workdps(40):

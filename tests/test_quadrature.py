@@ -391,15 +391,16 @@ class TestRuleCache:
         profile = lambda u: np.exp(-u)  # noqa: E731
         quadrature._ladder(profile, [0.0, 1.0, 2.0], 1e-30, 16, np.ones((1, 3)))
         info = build_rule.cache_info()
-        assert (info.misses, info.currsize) == (6, 6)
-        assert info.hits == 6  # each rung looks its rules up through build_rule
+        assert (info.hits, info.misses, info.currsize) == (0, 6, 6)  # built rules are no hits
+        quadrature._ladder(profile, [0.0, 1.0, 2.0], 1e-30, 16, np.ones((1, 3)))
+        assert build_rule.cache_info() == info._replace(hits=6)
 
     def test_threads_sharing_an_evicting_cache_get_the_single_thread_bits(self, monkeypatch):
         # the cache holds fewer rules than the four ladders share, so threads
         # evict each other's rules between their lookups and builds
         symbol = RadialExponential(LAM_EXAMPLE)
         expected = {n: gamma_sequence(symbol, n, method="quadrature") for n in (12, 16, 20, 24)}
-        monkeypatch.setattr(quadrature._RULES, "maxsize", 30)
+        monkeypatch.setattr(quadrature, "_RULE_CACHE_SIZE", 30)
         build_rule.cache_clear()
         results, errors = {}, []
 
@@ -425,6 +426,22 @@ class TestRuleCache:
         for n, g in expected.items():
             assert np.array_equal(results[n].values, g.values), n
             assert np.array_equal(results[n].abs_err, g.abs_err), n
+
+    def test_a_rung_wider_than_the_cache_gets_the_full_cache_bits(self, monkeypatch):
+        # 12 rules per rung against room for 4: each rung's rules are returned as
+        # built, though most of them are evicted before the rung is summed
+        symbol = RadialExponential(LAM_EXAMPLE)
+        build_rule.cache_clear()
+        expected = gamma_sequence(symbol, 12, method="quadrature")
+        monkeypatch.setattr(quadrature, "_RULE_CACHE_SIZE", 4)
+        build_rule.cache_clear()
+        try:
+            g = gamma_sequence(symbol, 12, method="quadrature")
+            assert build_rule.cache_info().currsize <= 4
+        finally:
+            build_rule.cache_clear()
+        assert np.array_equal(g.values, expected.values)
+        assert np.array_equal(g.abs_err, expected.abs_err)
 
     def test_profile_is_evaluated_once_per_rung(self, monkeypatch):
         sizes = []
@@ -767,7 +784,7 @@ class TestLockstepLadder:
         build_rule.cache_clear()
         try:
             for order, rule in rules.items():
-                quadrature._RULES.put(order, [rule])
+                quadrature._RULES[order, 3.0] = rule
             values, errs = quadrature._ladder(f, [3.0], 1e-30, 16, np.ones((1, 1)))
         finally:
             build_rule.cache_clear()

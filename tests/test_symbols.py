@@ -294,6 +294,12 @@ class TestJsonRoundTrip:
             {"kind": "poly", "terms": [{"j": [1], "k": 1}]},
             {"kind": "poly", "terms": {}},
             {"kind": "radial_monomial", "m": True},
+            {"kind": "radial_exponential", "lambda": False},
+            {"kind": "radial_exponential", "lambda": {"re": True}},
+            {"kind": "sum", "terms": [{"w": True, "s": {"kind": "radial_monomial", "m": 0}}]},
+            {"kind": "poly", "terms": [{"j": 1, "k": 1, "c": True}]},
+            {"kind": "radial_exponential", "lambda": {"re": "-2"}},
+            {"kind": "radial_exponential", "lambda": -(10**400)},
         ],
     )
     def test_malformed_payload_raises(self, payload):
